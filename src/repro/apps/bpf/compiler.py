@@ -15,12 +15,14 @@ wire-format detail overlays encapsulate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Union
 
 from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.codegen import CompiledProgram
+from ...core.interp import Interpreter
 from ...core.toolchain import hiltic
+from ...runtime.bytes_buffer import Bytes
 from .lang import And, HostTest, NetTest, Node, Not, Or, PortTest, ProtoTest, parse_filter
 
 __all__ = ["compile_to_hilti", "build_filter_module", "HiltiFilter"]
@@ -216,16 +218,15 @@ def build_filter_module(node: Node) -> ModuleBuilder:
 
 
 class HiltiFilter:
-    """A compiled filter: callable host-side object over raw frames."""
+    """A filter program of either tier: callable host-side object over
+    raw frames."""
 
-    def __init__(self, program: CompiledProgram):
+    def __init__(self, program: Union[CompiledProgram, Interpreter]):
         self.program = program
         self.ctx = program.make_context()
         self._call = program.call
 
     def __call__(self, frame) -> bool:
-        from ...runtime.bytes_buffer import Bytes
-
         if isinstance(frame, (bytes, bytearray)):
             buf = Bytes(bytes(frame))
             buf.freeze()
@@ -246,10 +247,4 @@ def compile_to_hilti(filter_text_or_node, optimize: bool = True,
     module = build_filter_module(node).finish()
     program = hiltic([module], optimize=optimize, tier=tier,
                      opt_level=opt_level)
-    if tier == "interpreted":
-        filt = HiltiFilter.__new__(HiltiFilter)
-        filt.program = program
-        filt.ctx = program.make_context()
-        filt._call = program.call
-        return filt
     return HiltiFilter(program)

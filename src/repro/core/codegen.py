@@ -1,22 +1,37 @@
-"""Code generation: HILTI IR to specialized closures ("native" tier).
+"""Code generation: HILTI IR to generated Python ("native" tier).
 
 This is the reproduction's stand-in for the paper's LLVM backend.  Each
-function lowers once into *segments* of pre-specialized step closures: all
-operand addressing (frame slot indices, thread-local global slots,
-constants) and instruction dispatch is resolved at compile time, so
-executing a step is a direct closure call — no per-step IR walking, no
-dict lookups.  Control transfers (branches, calls, yields, hook and timer
-dispatch, exception scopes) compile into small control tuples executed by
-the engine loop.
+function's blocks are cut into *segments*: a straight-line run of
+instructions closed by one control transfer (branch, call, hook
+dispatch, exception scope, yield).  All operand addressing (frame slot
+indices, thread-local global slots, constants) and instruction dispatch
+is resolved at compile time and emitted as Python source, which CPython
+compiles to bytecode — no per-instruction IR walking, no dict lookups.
 
-The engine runs compiled functions as Python generators so that any point
-of the HILTI call stack can *suspend*: ``yield`` instructions pop out to
-the host through ``repro.runtime.fibers.Fiber``, which is how incremental
-protocol parsers freeze and resume (paper, sections 3.2 and 5).
+A whole-program fixpoint first decides which functions can reach a
+suspension point.  Every function that cannot — the common case, and
+the whole of a BPF filter — lowers to *one* generated Python function:
+its segments sit inline, branches and returns read frame slots
+directly, exception scopes become a local handler stack, and calls to
+other such functions are direct Python calls.  This is the analogue of
+the real compiler giving non-yielding functions ordinary native frames.
+
+Functions that can suspend keep a list of segments of step closures,
+driven by a generator engine so that any point of the HILTI call stack
+can *suspend*: ``yield`` instructions pop out to the host through
+``repro.runtime.fibers.Fiber``, which is how incremental protocol
+parsers freeze and resume (paper, sections 3.2 and 5).
+
+Both forms charge the execution context identically: one
+``segments_dispatched`` per segment entered, the segment's instruction
+count once its steps complete (the instruction budget is checked right
+after), and a partial charge up to the trapping instruction when a step
+raises.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import overlay as rt_overlay
@@ -34,6 +49,7 @@ from ..runtime.structs import Callable as HiltiCallable
 from . import types as ht
 from .instructions import REGISTRY, default_value, instantiate
 from .ir import (
+    Block,
     Const,
     FieldRef,
     FuncRef,
@@ -59,7 +75,12 @@ class _HookStop(Exception):
 
 
 class CompiledFunction:
-    """One lowered function: frame layout plus executable segments."""
+    """One lowered function: frame layout plus its executable form.
+
+    A non-suspending function is the generated Python function ``run``
+    (``run(ctx, *args)``); a suspending one is ``segments``, run by the
+    generator engine.
+    """
 
     __slots__ = (
         "name",
@@ -67,6 +88,7 @@ class CompiledFunction:
         "param_count",
         "n_slots",
         "segments",
+        "run",
         "local_inits",
         "can_suspend",
         "hook_group",
@@ -79,8 +101,9 @@ class CompiledFunction:
         self.result_type = result_type
         self.param_count = param_count
         self.n_slots = n_slots
-        # segments: list of (steps tuple, control tuple)
-        self.segments: List[Tuple[Tuple, Tuple]] = []
+        # segments: list of (steps tuple, control tuple, instruction count)
+        self.segments: List[Tuple[Tuple, Tuple, int]] = []
+        self.run: Optional[Callable] = None
         # (slot, thunk) pairs evaluated at frame creation.
         self.local_inits: List[Tuple[int, Callable]] = []
         # Whether execution can reach a suspension point (yield, timers,
@@ -92,13 +115,20 @@ class CompiledFunction:
         self.hook_group = None
         self._frame_template = None
 
-    def make_frame(self, args: Sequence) -> list:
+    def arity_error(self, args: Sequence) -> HiltiError:
+        return HiltiError(
+            VALUE_ERROR,
+            f"{self.name} expects {self.param_count} arguments, got "
+            f"{len(args)}",
+        )
+
+    def invoke(self, ctx, args: Sequence):
+        """Run a non-suspending function to completion."""
         if len(args) != self.param_count:
-            raise HiltiError(
-                VALUE_ERROR,
-                f"{self.name} expects {self.param_count} arguments, got "
-                f"{len(args)}",
-            )
+            raise self.arity_error(args)
+        return self.run(ctx, *args)
+
+    def frame_template(self) -> list:
         template = self._frame_template
         if template is None:
             # Built once: init values are immutable (ints, strings,
@@ -107,11 +137,18 @@ class CompiledFunction:
             for slot, thunk in self.local_inits:
                 template[slot] = thunk()
             self._frame_template = template
-        frame = template[:]
+        return template
+
+    def make_frame(self, args: Sequence) -> list:
+        if len(args) != self.param_count:
+            raise self.arity_error(args)
+        frame = self.frame_template()[:]
         frame[: self.param_count] = args
         return frame
 
     def __repr__(self) -> str:
+        if self.run is not None:
+            return f"<compiled {self.name} lowered>"
         return f"<compiled {self.name} segments={len(self.segments)}>"
 
 
@@ -167,51 +204,35 @@ class CompiledProgram:
         """Run a function to completion (ignoring suspension points)."""
         cf = self.function(name)
         if not cf.can_suspend:
-            return _run_simple(self, ctx, cf, list(args))
-        gen = _execute(self, ctx, cf, list(args))
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+            return cf.invoke(ctx, args)
+        return _drive(_execute(self, ctx, cf, list(args)))
 
     def call_fiber(self, ctx: ExecutionContext, name: str,
                    args: Sequence = ()) -> Fiber:
         """Start a function inside a fiber; resume() drives it."""
         cf = self.function(name)
-        if not cf.can_suspend:
+        if cf.can_suspend:
+            gen = _execute(self, ctx, cf, list(args))
+        else:
             # Non-suspending functions still get a fiber interface.
-            def _wrap():
-                return _run_simple(self, ctx, cf, list(args))
-                yield  # pragma: no cover - makes this a generator
-
-            return Fiber(_wrap(), stats=self.fiber_stats)
-        gen = _execute(self, ctx, cf, list(args))
+            gen = _never_yields(cf, ctx, list(args))
         return Fiber(gen, stats=self.fiber_stats)
 
     def run_hook(self, ctx: ExecutionContext, hook_name: str,
                  args: Sequence = ()):
         """Run all bodies of a hook to completion (host-driven events)."""
-        bodies = self.hooks.get(hook_name, ())
-        result = None
-        for body in bodies:
+        for body in self.hooks.get(hook_name, ()):
             if body.hook_group is not None and \
                     body.hook_group in ctx.hook_groups_disabled:
                 continue
             try:
-                if not body.can_suspend:
-                    _run_simple(self, ctx, body, list(args))
-                    continue
-                gen = _execute(self, ctx, body, list(args))
-                while True:
-                    try:
-                        next(gen)
-                    except StopIteration:
-                        break
+                if body.can_suspend:
+                    _drive(_execute(self, ctx, body, list(args)))
+                else:
+                    body.invoke(ctx, args)
             except _HookStop as stop:
-                result = stop.value
-                break
-        return result
+                return stop.value
+        return None
 
     def run(self, ctx: Optional[ExecutionContext] = None, args: Sequence = ()):
         """Execute the program's entry point (``Main::run`` by default)."""
@@ -223,12 +244,7 @@ class CompiledProgram:
 
     def run_callable(self, ctx: ExecutionContext, bound):
         """Invoke a HILTI callable value to completion (host side)."""
-        gen = _run_callable(self, ctx, bound)
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+        return _drive(_run_callable(self, ctx, bound))
 
     def check_watchpoints(self, ctx: ExecutionContext) -> int:
         """Evaluate pending watchpoints; returns how many fired."""
@@ -254,9 +270,9 @@ class CompiledProgram:
 _TERMINATORS = {"jump", "if.else", "switch", "return.void", "return.result"}
 
 # Engine instructions that end a segment (beyond the block terminators).
-# thread.schedule, callable.bind, and exception.throw stay plain steps
-# (compile_special_step), but they route through this set so the lowering
-# looks at them before the batch compiler does.
+# The _SPECIAL_STEPS among them stay plain steps inside the segment, but
+# route through this set so the lowering looks at them before the batch
+# compiler does.
 _SEGMENT_BREAKERS = {
     "call",
     "yield",
@@ -273,19 +289,86 @@ _SEGMENT_BREAKERS = {
     "watchpoint.check",
     "exception.throw",
 }
+_SPECIAL_STEPS = {"thread.schedule", "callable.bind", "exception.throw"}
+
+# IR mnemonics that are themselves suspension points: yield, and any
+# dispatch whose target is unknown until runtime (timer actions, bound
+# callables, watchpoint conditions).
+_SUSPENDING = {
+    "yield",
+    "timer_mgr.advance",
+    "timer_mgr.advance_global",
+    "timer_mgr.expire_all",
+    "callable.call",
+    "watchpoint.check",
+}
+
+
+def _live(block: Block):
+    """A block's instructions up to its first terminator (the rest is
+    dead and never lowered)."""
+    for instruction in block.instructions:
+        yield instruction
+        if instruction.mnemonic in _TERMINATORS:
+            return
+
+
+def _bind(env: Dict, value) -> str:
+    """Store *value* in a generated function's globals; its name there."""
+    name = f"k{len(env)}"
+    env[name] = value
+    return name
+
+
+def _value_source(value, env: Dict) -> str:
+    """A Python expression for a compile-time constant."""
+    kind = value.__class__
+    if value is None or kind in (bool, int, str, bytes) or \
+            (kind is float and math.isfinite(value)):
+        return repr(value)
+    return _bind(env, value)
+
+
+def _hook_name(operand: Operand) -> str:
+    return operand.name if isinstance(operand, (FieldRef, FuncRef)) \
+        else str(operand)
+
+
+def _call_args(instruction: Instruction) -> Tuple[Operand, ...]:
+    """Argument operands of a ``call``/``hook.run``: a tuple operand's
+    elements, or one non-tuple operand as the single argument."""
+    if len(instruction.operands) < 2:
+        return ()
+    args_op = instruction.operands[1]
+    if isinstance(args_op, TupleOp):
+        return args_op.elements
+    return (args_op,)
+
+
+def _direct_entry(cf: CompiledFunction, n_args: int) -> Callable:
+    """What a call site passing *n_args* arguments invokes directly: the
+    callee's generated function, or an arity check that raises."""
+    if n_args == cf.param_count:
+        return cf.run
+    return lambda ctx, *args: cf.invoke(ctx, args)
 
 
 class _FunctionLowering:
     def __init__(self, program: CompiledProgram, module: Module,
-                 function: Function, opt_level: int = 0,
-                 ir_suspends: Optional[Dict[str, bool]] = None):
+                 function: Function, opt_level: int,
+                 suspends: Dict[int, bool],
+                 late: List[Tuple[Dict, str, Callable]]):
         self.program = program
         self.module = module
         self.function = function
         # At -O1, calls to provably non-suspending callees compile into
         # the straight-line batches instead of splitting the segment.
         self.opt_level = opt_level
-        self.ir_suspends = ir_suspends
+        # id(IR function) -> may suspend (the _ir_can_suspend fixpoint).
+        self.suspends = suspends
+        # Deferred (env, name, thunk) bindings: call targets whose
+        # generated code exists only once every function is lowered.
+        self.late = late
         self.slots: Dict[str, int] = {}
         for param in function.params:
             self.slots[param.name] = len(self.slots)
@@ -298,6 +381,7 @@ class _FunctionLowering:
             len(self.slots),
         )
         self.cf.hook_group = getattr(function, "hook_group", None)
+        self.cf.can_suspend = suspends[id(function)]
         for local in function.locals:
             slot = self.slots[local.name]
             if local.init is not None:
@@ -310,11 +394,21 @@ class _FunctionLowering:
                     self.cf.local_inits.append(
                         (slot, (lambda v=default: v))
                     )
-        # label -> segment index of the block's first segment.
+        # label -> index of the block's first segment.
         self.block_entry: Dict[str, int] = {}
-        # Deferred patches: (segment list index, tuple position, label).
-        self._label_patches: List[Tuple[int, int, str]] = []
-        self._pending: List[List] = []  # mutable control tuples pre-patch
+
+    def _late(self, env: Dict, thunk: Callable) -> str:
+        name = _bind(env, None)
+        self.late.append((env, name, thunk))
+        return name
+
+    def _segment_of(self, label: str) -> int:
+        try:
+            return self.block_entry[label]
+        except KeyError:
+            raise LinkError(
+                f"branch to unknown block {label!r} in {self.function.name}"
+            ) from None
 
     # -- operand compilation ------------------------------------------------
 
@@ -367,14 +461,13 @@ class _FunctionLowering:
 
         return store_global
 
-    # -- step compilation -------------------------------------------------------
+    # -- instruction compilation ----------------------------------------------
     #
-    # Plain (non-engine) instructions compile to *Python source*: each
-    # segment's straight-line run becomes one generated function that
-    # CPython compiles to bytecode.  This is the reproduction's equivalent
-    # of emitting LLVM IR — operand addressing is inlined (frame slots,
-    # thread-local indices, constants) and common pure operators lower to
-    # native Python operators instead of calls.
+    # Plain (non-engine) instructions compile to *Python source*, one line
+    # per instruction.  This is the reproduction's equivalent of emitting
+    # LLVM IR — operand addressing is inlined (frame slots, thread-local
+    # indices, constants) and common pure operators lower to native
+    # Python operators instead of calls.
 
     _INLINE_BINOPS = {
         "int.add": "+", "int.sub": "-", "int.mul": "*",
@@ -395,36 +488,25 @@ class _FunctionLowering:
             if isinstance(operand.type, ht.BytesT) and isinstance(value, bytes):
                 shared = Bytes(value)
                 shared.freeze()
-                value = shared
-            if value is None or isinstance(value, (bool, int)):
-                return repr(value)
-            if isinstance(value, (str, float, bytes)):
-                return repr(value)
-            name = f"c{len(env)}"
-            env[name] = value
-            return name
+                return _bind(env, shared)
+            return _value_source(value, env)
         if isinstance(operand, Var):
-            var_name = operand.name
-            if var_name in self.slots:
-                return f"frame[{self.slots[var_name]}]"
-            slot = self.program.linked.global_slot(var_name, self.module)
-            return f"ctx.globals[{slot}]"
+            return self._target_source(operand)
         if isinstance(operand, TupleOp):
-            inner = ", ".join(
-                self._expr_source(e, env) for e in operand.elements
-            )
-            if len(operand.elements) == 1:
-                inner += ","
-            return f"({inner})"
+            return self._tuple_source(operand.elements, env)
         if isinstance(operand, FieldRef):
             return repr(operand.name)
-        if isinstance(operand, (TypeRef, FuncRef)):
-            value = operand.type if isinstance(operand, TypeRef) \
-                else operand.name
-            name = f"c{len(env)}"
-            env[name] = value
-            return name
+        if isinstance(operand, TypeRef):
+            return _bind(env, operand.type)
+        if isinstance(operand, FuncRef):
+            return repr(operand.name)
         raise LinkError(f"cannot compile operand {operand!r}")
+
+    def _tuple_source(self, operands: Sequence[Operand], env: Dict) -> str:
+        inner = ", ".join(self._expr_source(e, env) for e in operands)
+        if len(operands) == 1:
+            inner += ","
+        return f"({inner})"
 
     def _target_source(self, target: Var) -> str:
         name = target.name
@@ -433,66 +515,47 @@ class _FunctionLowering:
         slot = self.program.linked.global_slot(name, self.module)
         return f"ctx.globals[{slot}]"
 
-    def _make_call_thunk(self, callee_name: str) -> Callable:
-        """A per-call-site inline cache for a batched HILTI-to-HILTI call.
+    def _assign_source(self, instruction: Instruction, expression: str) -> str:
+        if instruction.target is None:
+            return expression
+        return f"{self._target_source(instruction.target)} = {expression}"
 
-        The compiled callee is looked up in ``program.functions`` once, on
-        the first execution of this site, then reused — no per-call dict
-        lookup, no control-tuple dispatch.  The cache also revalidates the
-        inlining decision: the IR-level suspension analysis proved the
-        callee non-suspending, and if the segment-level fixpoint ever
-        disagreed we fail loudly instead of silently dropping a yield.
-        """
-        program = self.program
-        cache: List[CompiledFunction] = []
+    def _call_source(self, instruction: Instruction, env: Dict) -> str:
+        """A call's expression: native, or a direct call of the callee's
+        generated function (-O0 looks the callee up per execution)."""
+        arg_ops = _call_args(instruction)
+        kind, target = self.program.linked.resolve_function(
+            instruction.operands[0].name, self.module
+        )
+        if kind == "hilti" and self.opt_level < 1:
+            env["_functions"] = self.program.functions
+            return (
+                f"_functions[{target.name!r}].invoke(ctx, "
+                f"{self._tuple_source(arg_ops, env)})"
+            )
+        args = ", ".join(["ctx"] + [self._expr_source(e, env) for e in arg_ops])
+        if kind == "native":
+            return f"{_bind(env, target)}({args})"
+        functions = self.program.functions
+        name = self._late(env, lambda: _direct_entry(
+            functions[target.name], len(arg_ops)))
+        return f"{name}({args})"
 
-        def call_site(ctx, *args, _program=program, _name=callee_name,
-                      _cache=cache, _run=_run_simple):
-            if not _cache:
-                cf = _program.functions[_name]
-                if cf.can_suspend:
-                    raise HiltiError(
-                        INTERNAL_ERROR,
-                        f"batched call to suspending function {_name}",
-                    )
-                _cache.append(cf)
-            return _run(_program, ctx, _cache[0], list(args))
+    def _hook_source(self, instruction: Instruction, env: Dict) -> str:
+        """A ``hook.run``'s expression over its non-suspending bodies
+        (-O0 looks the bodies up per execution)."""
+        hook_name = _hook_name(instruction.operands[0])
+        args = self._tuple_source(_call_args(instruction), env)
+        env["_run_hooks"] = _run_hooks
+        if self.opt_level < 1:
+            env["_hooks"] = self.program.hooks
+            return f"_run_hooks(ctx, _hooks.get({hook_name!r}, ()), {args})"
+        hooks = self.program.hooks
+        bodies = self._late(env, lambda: tuple(hooks.get(hook_name, ())))
+        return f"_run_hooks(ctx, {bodies}, {args})"
 
-        return call_site
-
-    def _make_hook_thunk(self, hook_name: str) -> Callable:
-        """Per-call-site inline cache for batched hook dispatch."""
-        program = self.program
-        cache: List[Tuple[CompiledFunction, ...]] = []
-
-        def hook_site(ctx, *args, _program=program, _name=hook_name,
-                      _cache=cache, _run=_run_simple):
-            if not _cache:
-                bodies = tuple(_program.hooks.get(_name, ()))
-                for body in bodies:
-                    if body.can_suspend:
-                        raise HiltiError(
-                            INTERNAL_ERROR,
-                            f"batched dispatch to suspending hook body "
-                            f"{body.name}",
-                        )
-                _cache.append(bodies)
-            result = None
-            for body in _cache[0]:
-                if body.hook_group is not None and \
-                        body.hook_group in ctx.hook_groups_disabled:
-                    continue
-                try:
-                    _run(_program, ctx, body, list(args))
-                except _HookStop as stop:
-                    result = stop.value
-                    break
-            return result
-
-        return hook_site
-
-    def _specialized_memread(self, instruction: Instruction, position: int,
-                             env: Dict, args: List[str]) -> Optional[str]:
+    def _specialized_memread(self, instruction: Instruction, env: Dict,
+                             args: List[str]) -> Optional[str]:
         """-O1: resolve a constant-layout memory read at compile time.
 
         ``overlay.get`` with a constant overlay type and field, and
@@ -500,7 +563,7 @@ class _FunctionLowering:
         re-resolving the field spec (offset, format alias, struct code,
         bit range) on every execution; here that resolution happens once
         and the site compiles to a precompiled extraction closure.
-        Returns the batch expression, or None to use the generic path.
+        Returns the expression, or None to use the generic path.
         """
         operands = instruction.operands
         if instruction.mnemonic == "overlay.get":
@@ -520,9 +583,7 @@ class _FunctionLowering:
             def get_field(ctx, data, _u=unpacker, _off=offset):
                 return _u(data, data.begin_offset + _off)
 
-            fn_name = f"f{position}"
-            env[fn_name] = get_field
-            return f"{fn_name}(ctx, {args[2]})"
+            return f"{_bind(env, get_field)}(ctx, {args[2]})"
         # unpack <bytes> <offset> <Format> (no bit-range operand)
         if len(operands) != 3 or not isinstance(operands[2], FieldRef):
             return None
@@ -536,13 +597,11 @@ class _FunctionLowering:
         def unpack_at(ctx, data, offset, _u=unpacker):
             return _u(data, data.begin_offset + offset)
 
-        fn_name = f"f{position}"
-        env[fn_name] = unpack_at
-        return f"{fn_name}(ctx, {args[0]}, {args[1]})"
+        return f"{_bind(env, unpack_at)}(ctx, {args[0]}, {args[1]})"
 
     def _call_inlinable(self, instruction: Instruction) -> bool:
         """Whether a ``call`` can compile into the enclosing batch."""
-        if self.opt_level < 1 or self.ir_suspends is None:
+        if self.opt_level < 1:
             return False
         if len(instruction.operands) > 1 and \
                 not isinstance(instruction.operands[1], TupleOp):
@@ -555,62 +614,41 @@ class _FunctionLowering:
             return False
         if kind == "native":
             return True  # natives are synchronous by construction
-        return not self.ir_suspends.get(target.name, True)
+        return not self.suspends.get(id(target), True)
 
     def _hook_inlinable(self, instruction: Instruction) -> bool:
         """Whether a ``hook.run`` can compile into the enclosing batch."""
-        if self.opt_level < 1 or self.ir_suspends is None:
+        if self.opt_level < 1:
             return False
         if len(instruction.operands) > 1 and \
                 not isinstance(instruction.operands[1], TupleOp):
             return False
-        operand = instruction.operands[0]
-        name = operand.name if isinstance(operand, (FieldRef, FuncRef)) \
-            else str(operand)
-        bodies = self.program.linked.hooks.get(name, ())
-        return all(
-            not self.ir_suspends.get(body.name, True) for body in bodies
-        )
+        bodies = self.program.linked.hooks.get(
+            _hook_name(instruction.operands[0]), ())
+        return not any(self.suspends[id(body)] for body in bodies)
 
-    def _compile_batch(self, batch: List[Instruction]) -> Callable:
-        """Compile a straight-line instruction run into one function."""
-        env: Dict = {}
+    def _batchable(self, instruction: Instruction) -> bool:
+        """Whether an instruction compiles into straight-line code."""
+        mnemonic = instruction.mnemonic
+        if mnemonic == "call":
+            return self._call_inlinable(instruction)
+        if mnemonic == "hook.run":
+            return self._hook_inlinable(instruction)
+        return mnemonic not in _SEGMENT_BREAKERS and \
+            mnemonic not in _TERMINATORS
+
+    def _batch_lines(self, batch: List[Instruction], env: Dict) -> List[str]:
+        """One Python statement per instruction of a straight-line run."""
         lines: List[str] = []
-        for position, instruction in enumerate(batch):
+        for instruction in batch:
             mnemonic = instruction.mnemonic
-            if mnemonic in ("call", "hook.run"):
-                fn_name = f"f{position}"
-                if mnemonic == "call":
-                    kind, target = self.program.linked.resolve_function(
-                        instruction.operands[0].name, self.module
-                    )
-                    env[fn_name] = target if kind == "native" \
-                        else self._make_call_thunk(target.name)
-                else:
-                    operand = instruction.operands[0]
-                    hook_name = operand.name \
-                        if isinstance(operand, (FieldRef, FuncRef)) \
-                        else str(operand)
-                    env[fn_name] = self._make_hook_thunk(hook_name)
-                arg_ops = (
-                    instruction.operands[1].elements
-                    if len(instruction.operands) > 1
-                    else ()
-                )
-                joined = ", ".join(
-                    self._expr_source(e, env) for e in arg_ops
-                )
-                expression = (
-                    f"{fn_name}(ctx, {joined})" if joined
-                    else f"{fn_name}(ctx)"
-                )
-                if instruction.target is not None:
-                    lines.append(
-                        f"    {self._target_source(instruction.target)} = "
-                        f"{expression}"
-                    )
-                else:
-                    lines.append(f"    {expression}")
+            if mnemonic == "call":
+                lines.append(self._assign_source(
+                    instruction, self._call_source(instruction, env)))
+                continue
+            if mnemonic == "hook.run":
+                lines.append(self._assign_source(
+                    instruction, self._hook_source(instruction, env)))
                 continue
             args = [self._expr_source(op, env) for op in instruction.operands]
             expression = None
@@ -640,7 +678,7 @@ class _FunctionLowering:
             elif self.opt_level >= 1 and \
                     mnemonic in ("overlay.get", "unpack"):
                 expression = self._specialized_memread(
-                    instruction, position, env, args
+                    instruction, env, args
                 )
             if expression is None:
                 definition = REGISTRY[mnemonic]
@@ -648,86 +686,27 @@ class _FunctionLowering:
                     raise LinkError(
                         f"engine instruction {mnemonic} in step position"
                     )
-                fn_name = f"f{position}"
-                env[fn_name] = definition.fn
-                joined = ", ".join(args)
                 expression = (
-                    f"{fn_name}(ctx, {joined})" if joined
-                    else f"{fn_name}(ctx)"
+                    f"{_bind(env, definition.fn)}"
+                    f"({', '.join(['ctx'] + args)})"
                 )
-            if instruction.target is not None:
-                lines.append(
-                    f"    {self._target_source(instruction.target)} = "
-                    f"{expression}"
-                )
-            else:
-                lines.append(f"    {expression}")
-        source = "def _batch(ctx, frame):\n" + "\n".join(lines) + "\n"
-        code = compile(source, f"<hilti:{self.function.name}>", "exec")
-        exec(code, env)
+            lines.append(self._assign_source(instruction, expression))
+        return lines
+
+    def _compile_batch(self, batch: List[Instruction]) -> Callable:
+        """Compile a straight-line run into one step closure."""
+        env: Dict = {}
+        lines = self._batch_lines(batch, env)
+        # Line k + 2 holds instruction k: _charge_trap relies on it.
+        source = "def _batch(ctx, frame):\n" + "".join(
+            f"    {line}\n" for line in lines)
+        exec(compile(source, f"<hilti:{self.function.name}>", "exec"), env)
         fn = env["_batch"]
         fn.hilti_instructions = len(batch)
         return fn
 
-    def compile_step(self, instruction: Instruction) -> Callable:
-        definition = REGISTRY[instruction.mnemonic]
-        fn = definition.fn
-        if fn is None:
-            raise LinkError(
-                f"engine instruction {instruction.mnemonic} in step position"
-            )
-        accessors = [self.compile_read(op) for op in instruction.operands]
-        store = (
-            self.compile_write(instruction.target)
-            if instruction.target is not None
-            else None
-        )
-        count = len(accessors)
-        if store is None:
-            if count == 0:
-                return lambda ctx, frame: fn(ctx)
-            if count == 1:
-                a0 = accessors[0]
-                return lambda ctx, frame: fn(ctx, a0(ctx, frame))
-            if count == 2:
-                a0, a1 = accessors
-                return lambda ctx, frame: fn(
-                    ctx, a0(ctx, frame), a1(ctx, frame)
-                )
-            if count == 3:
-                a0, a1, a2 = accessors
-                return lambda ctx, frame: fn(
-                    ctx, a0(ctx, frame), a1(ctx, frame), a2(ctx, frame)
-                )
-            accs = tuple(accessors)
-            return lambda ctx, frame: fn(
-                ctx, *[a(ctx, frame) for a in accs]
-            )
-        if count == 0:
-            return lambda ctx, frame: store(ctx, frame, fn(ctx))
-        if count == 1:
-            a0 = accessors[0]
-            return lambda ctx, frame: store(ctx, frame, fn(ctx, a0(ctx, frame)))
-        if count == 2:
-            a0, a1 = accessors
-            return lambda ctx, frame: store(
-                ctx, frame, fn(ctx, a0(ctx, frame), a1(ctx, frame))
-            )
-        if count == 3:
-            a0, a1, a2 = accessors
-            return lambda ctx, frame: store(
-                ctx, frame,
-                fn(ctx, a0(ctx, frame), a1(ctx, frame), a2(ctx, frame)),
-            )
-        accs = tuple(accessors)
-        return lambda ctx, frame: store(
-            ctx, frame, fn(ctx, *[a(ctx, frame) for a in accs])
-        )
-
-    # -- special steps ----------------------------------------------------------
-
-    def compile_special_step(self, instruction: Instruction) -> Optional[Callable]:
-        """Engine mnemonics that still lower to plain steps."""
+    def compile_special_step(self, instruction: Instruction) -> Callable:
+        """Engine mnemonics that lower to plain (ctx, frame) steps."""
         mnemonic = instruction.mnemonic
         if mnemonic == "thread.schedule":
             func_name = instruction.operands[0].name
@@ -770,7 +749,7 @@ class _FunctionLowering:
                 raise error
 
             return throw
-        return None
+        raise LinkError(f"unhandled engine instruction {mnemonic}")
 
     def _resolve_callee(self, name: str) -> str:
         """Resolve a function reference to its qualified name at link time."""
@@ -779,339 +758,382 @@ class _FunctionLowering:
             return target.name
         return name  # native, resolved at execution
 
-    # -- block lowering ----------------------------------------------------------
+    # -- segmentation ---------------------------------------------------------
 
     def lower(self) -> CompiledFunction:
-        for block in self.function.blocks:
-            self.block_entry[block.label] = None  # filled when emitted
-        for index, block in enumerate(self.function.blocks):
-            fallthrough = (
-                self.function.blocks[index + 1].label
-                if index + 1 < len(self.function.blocks)
-                else None
-            )
-            self._lower_block(block, fallthrough)
-        # Patch label references now that all segment indices are known.
-        for control in self._pending:
-            for position, item in enumerate(control):
-                if isinstance(item, _LabelPlaceholder):
-                    target = self.block_entry.get(item.label)
-                    if target is None:
-                        raise LinkError(
-                            f"branch to unknown block {item.label!r} in "
-                            f"{self.function.name}"
-                        )
-                    control[position] = target
-                elif isinstance(item, dict):
-                    for key, value in list(item.items()):
-                        if isinstance(value, _LabelPlaceholder):
-                            item[key] = self.block_entry[value.label]
-        self.cf.segments = [
-            (steps, tuple(control), count)
-            for steps, control, count in self._raw_segments
-        ]
+        plan = self._plan()
+        if self.cf.can_suspend:
+            self.cf.segments = [
+                self._segment(index, parts, transfer)
+                for index, (parts, transfer) in enumerate(plan)
+            ]
+        else:
+            self.cf.run = self._generate(plan)
         return self.cf
 
-    @property
-    def _raw_segments(self):
-        return self.__dict__.setdefault("_segments_storage", [])
+    def _plan(self) -> List[Tuple[List, Instruction]]:
+        """Cut the blocks into segments of (parts, transfer).
 
-    def _emit_segment(self, steps: List[Callable], control: List) -> int:
-        index = len(self._raw_segments)
-        count = sum(
-            getattr(step, "hilti_instructions", 1) for step in steps
-        ) + 1  # +1 for the control transfer itself
-        self._raw_segments.append((tuple(steps), control, count))
-        self._pending.append(control)
-        return index
-
-    def _label(self, label: str) -> "_LabelPlaceholder":
-        return _LabelPlaceholder(label)
-
-    def _lower_block(self, block, fallthrough: Optional[str]) -> None:
-        steps: List[Callable] = []
-        batch: List[Instruction] = []
-        first_segment_of_block = True
-
-        def flush_batch() -> None:
-            nonlocal batch
-            if batch:
-                steps.append(self._compile_batch(batch))
-                batch = []
-
-        def close_segment(control: List) -> None:
-            nonlocal steps, first_segment_of_block
-            flush_batch()
-            index = self._emit_segment(steps, control)
-            if first_segment_of_block:
-                self.block_entry[block.label] = index
-                first_segment_of_block = False
-            steps = []
-
-        instructions = block.instructions
-        position = 0
-        while position < len(instructions):
-            instruction = instructions[position]
-            mnemonic = instruction.mnemonic
-            if mnemonic in _TERMINATORS:
-                close_segment(self._lower_terminator(instruction))
-                position += 1
-                # Anything after a terminator in the same block is dead.
-                break
-            if mnemonic in _SEGMENT_BREAKERS:
-                if mnemonic == "call" and self._call_inlinable(instruction):
+        *parts* are straight-line batches (lists of plain instructions)
+        and special steps (single instructions); *transfer* is the control
+        transfer closing the segment.  A block without a terminator gets
+        a synthetic one: a jump to the next block, or a void return.
+        """
+        plan: List[Tuple[List, Instruction]] = []
+        blocks = self.function.blocks
+        for index, block in enumerate(blocks):
+            self.block_entry[block.label] = len(plan)
+            parts: List = []
+            batch: List[Instruction] = []
+            transfer = None
+            for instruction in _live(block):
+                mnemonic = instruction.mnemonic
+                if self._batchable(instruction):
                     batch.append(instruction)
-                    position += 1
                     continue
-                if mnemonic == "hook.run" and \
-                        self._hook_inlinable(instruction):
-                    batch.append(instruction)
-                    position += 1
+                if batch:
+                    parts.append(batch)
+                    batch = []
+                if mnemonic in _SPECIAL_STEPS:
+                    parts.append(instruction)
                     continue
-                special = self.compile_special_step(instruction)
-                if special is not None:
-                    flush_batch()
-                    steps.append(special)
-                    position += 1
-                    continue
-                control = self._lower_breaker(instruction)
-                close_segment(control)
-                position += 1
+                plan.append((parts, instruction))
+                parts = []
+                transfer = instruction
+            if transfer is not None and transfer.mnemonic in _TERMINATORS:
                 continue
-            batch.append(instruction)
-            position += 1
-        else:
-            # Block ended without terminator: fall through.
-            if fallthrough is not None:
-                close_segment(["goto", self._label(fallthrough)])
-            elif self.function.result == ht.VOID:
-                close_segment(["ret"])
+            if batch:
+                parts.append(batch)
+            if index + 1 < len(blocks):
+                transfer = Instruction(
+                    "jump", (LabelRef(blocks[index + 1].label),))
             else:
-                close_segment(["ret"])
+                transfer = Instruction("return.void")
+            plan.append((parts, transfer))
+        return plan
 
-    def _lower_terminator(self, instruction: Instruction) -> List:
+    # -- suspending functions: segments for the generator engine -------------
+
+    def _segment(self, index: int, parts: List,
+                 transfer: Instruction) -> Tuple[Tuple, Tuple, int]:
+        steps = tuple(
+            self._compile_batch(part) if isinstance(part, list)
+            else self.compile_special_step(part)
+            for part in parts
+        )
+        count = sum(
+            len(part) if isinstance(part, list) else 1 for part in parts
+        ) + 1  # +1 for the control transfer itself
+        return steps, self._control(transfer, index + 1), count
+
+    def _control(self, instruction: Instruction, nxt: int) -> Tuple:
+        """The control tuple the engine loop runs to end a segment."""
         mnemonic = instruction.mnemonic
+        operands = instruction.operands
         if mnemonic == "jump":
-            return ["goto", self._label(instruction.operands[0].label)]
+            return ("goto", self._segment_of(operands[0].label))
         if mnemonic == "if.else":
-            cond = self.compile_read(instruction.operands[0])
-            return [
+            return (
                 "branch",
-                cond,
-                self._label(instruction.operands[1].label),
-                self._label(instruction.operands[2].label),
-            ]
+                self.compile_read(operands[0]),
+                self._segment_of(operands[1].label),
+                self._segment_of(operands[2].label),
+            )
         if mnemonic == "switch":
-            value_acc = self.compile_read(instruction.operands[0])
-            default = self._label(instruction.operands[1].label)
-            cases = {}
-            for case in instruction.operands[2:]:
-                if not isinstance(case, TupleOp) or len(case.elements) != 2:
-                    raise LinkError("switch cases must be (constant, label)")
-                const, label = case.elements
-                if not isinstance(const, Const) or not isinstance(label, LabelRef):
-                    raise LinkError("switch cases must be (constant, label)")
-                cases[const.value] = self._label(label.label)
-            return ["switch", value_acc, cases, default]
+            return ("switch", self.compile_read(operands[0]),
+                    self._switch_table(instruction),
+                    self._segment_of(operands[1].label))
         if mnemonic == "return.void":
-            return ["ret"]
+            return ("ret",)
         if mnemonic == "return.result":
-            return ["retv", self.compile_read(instruction.operands[0])]
-        raise LinkError(f"unknown terminator {mnemonic}")
-
-    def _lower_breaker(self, instruction: Instruction) -> List:
-        """Engine instructions that split the enclosing block."""
-        mnemonic = instruction.mnemonic
-        next_label = _NEXT_SEGMENT  # resolved to the following segment index
+            return ("retv", self.compile_read(operands[0]))
+        store = (
+            self.compile_write(instruction.target)
+            if instruction.target is not None
+            else None
+        )
         if mnemonic == "call":
-            func_name = instruction.operands[0].name
-            args_op = (
-                instruction.operands[1]
-                if len(instruction.operands) > 1
-                else TupleOp(())
-            )
-            if isinstance(args_op, TupleOp):
-                arg_accs = tuple(
-                    self.compile_read(e) for e in args_op.elements
-                )
-            else:
-                single = self.compile_read(args_op)
-                arg_accs = (single,)
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
+            arg_accs = tuple(
+                self.compile_read(e) for e in _call_args(instruction))
             kind, target = self.program.linked.resolve_function(
-                func_name, self.module
+                operands[0].name, self.module
             )
             if kind == "native":
-                return ["ncall", target, arg_accs, store, next_label]
-            return ["call", target.name, arg_accs, store, next_label]
+                return ("ncall", target, arg_accs, store, nxt)
+            return ("call", target.name, arg_accs, store, nxt)
         if mnemonic == "yield":
-            return ["yield", next_label]
+            return ("yield", nxt)
         if mnemonic == "try.begin":
-            handler = self._label(instruction.operands[0].label)
-            catch_type = (
-                instruction.operands[1].type
-                if len(instruction.operands) > 1
-                else None
-            )
-            store = (
-                self.compile_write(instruction.operands[2])
-                if len(instruction.operands) > 2
-                and isinstance(instruction.operands[2], Var)
-                else None
-            )
-            return ["try_push", handler, catch_type, store, next_label]
+            return ("try_push", *self._handler(instruction), nxt)
         if mnemonic == "try.end":
-            return ["try_pop", next_label]
+            return ("try_pop", nxt)
         if mnemonic == "hook.run":
-            hook_name = instruction.operands[0]
-            name = (
-                hook_name.name
-                if isinstance(hook_name, (FieldRef, FuncRef))
-                else str(hook_name)
-            )
-            args_op = (
-                instruction.operands[1]
-                if len(instruction.operands) > 1
-                else TupleOp(())
-            )
-            arg_accs = tuple(self.compile_read(e) for e in args_op.elements) \
-                if isinstance(args_op, TupleOp) else (self.compile_read(args_op),)
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
-            return ["hook", name, arg_accs, store, next_label]
+            arg_accs = tuple(
+                self.compile_read(e) for e in _call_args(instruction))
+            return ("hook", _hook_name(operands[0]), arg_accs, store, nxt)
         if mnemonic == "hook.stop":
-            acc = (
-                self.compile_read(instruction.operands[0])
-                if instruction.operands
-                else None
-            )
-            return ["hook_stop", acc]
+            acc = self.compile_read(operands[0]) if operands else None
+            return ("hook_stop", acc)
         if mnemonic == "callable.call":
-            acc = self.compile_read(instruction.operands[0])
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
-            return ["call_callable", acc, store, next_label]
+            return ("call_callable", self.compile_read(operands[0]), store,
+                    nxt)
         if mnemonic == "timer_mgr.advance":
-            mgr_acc = self.compile_read(instruction.operands[0])
-            time_acc = self.compile_read(instruction.operands[1])
-            return ["advance", mgr_acc, time_acc, next_label]
+            return ("advance", self.compile_read(operands[0]),
+                    self.compile_read(operands[1]), nxt)
         if mnemonic == "timer_mgr.advance_global":
-            time_acc = self.compile_read(instruction.operands[0])
-            return ["advance", None, time_acc, next_label]
+            return ("advance", None, self.compile_read(operands[0]), nxt)
         if mnemonic == "timer_mgr.expire_all":
-            mgr_acc = (
-                self.compile_read(instruction.operands[0])
-                if instruction.operands
-                else None
-            )
-            return ["expire", mgr_acc, next_label]
+            mgr_acc = self.compile_read(operands[0]) if operands else None
+            return ("expire", mgr_acc, nxt)
         if mnemonic == "watchpoint.check":
-            return ["wp_check", next_label]
+            return ("wp_check", nxt)
         raise LinkError(f"unhandled engine instruction {mnemonic}")
 
+    def _switch_table(self, instruction: Instruction) -> Dict:
+        cases = {}
+        for case in instruction.operands[2:]:
+            if not isinstance(case, TupleOp) or len(case.elements) != 2:
+                raise LinkError("switch cases must be (constant, label)")
+            const, label = case.elements
+            if not isinstance(const, Const) or not isinstance(label, LabelRef):
+                raise LinkError("switch cases must be (constant, label)")
+            cases[const.value] = self._segment_of(label.label)
+        return cases
 
-class _LabelPlaceholder:
-    __slots__ = ("label",)
+    def _handler(self, instruction: Instruction) -> Tuple:
+        """A ``try.begin``'s (handler segment, catch type, error store)."""
+        operands = instruction.operands
+        catch_type = operands[1].type if len(operands) > 1 else None
+        store = (
+            self.compile_write(operands[2])
+            if len(operands) > 2 and isinstance(operands[2], Var)
+            else None
+        )
+        return self._segment_of(operands[0].label), catch_type, store
 
-    def __init__(self, label: str):
-        self.label = label
+    # -- non-suspending functions: one generated Python function -------------
 
+    def _successors(self, index: int, transfer: Instruction) -> List[int]:
+        """Segments control can enter after *transfer* (handlers aside)."""
+        mnemonic = transfer.mnemonic
+        operands = transfer.operands
+        if mnemonic == "jump":
+            return [self._segment_of(operands[0].label)]
+        if mnemonic == "if.else":
+            return [self._segment_of(operands[1].label),
+                    self._segment_of(operands[2].label)]
+        if mnemonic == "switch":
+            return [self._segment_of(operands[1].label),
+                    *self._switch_table(transfer).values()]
+        if mnemonic in ("return.void", "return.result", "hook.stop"):
+            return []
+        return [index + 1]
 
-class _NextSegment:
-    """Placeholder meaning "the segment emitted right after this one"."""
+    def _generate(self, plan: List[Tuple[List, Instruction]]) -> Callable:
+        """Emit the whole function as one Python function.
 
-    __repr__ = lambda self: "<next-segment>"
+        Segments appear in order inside one ``while True`` loop, each
+        under an ``if seg == k`` guard — except a segment entered only by
+        falling out of the previous one, which just continues it.
+        Forward transfers set ``seg`` and fall through the guards in
+        between; backward ones ``continue``.  A trapping step charges
+        through ``_charges``, the line -> instructions-so-far table of
+        the segment it sits in, and unwinds to the local handler stack.
+        """
+        env: Dict = {
+            "HiltiError": HiltiError,
+            "_INDEX_ERROR": _INDEX_ERROR,
+            "_HookStop": _HookStop,
+            "_budget_exhausted": _budget_exhausted,
+            "_dispatch_exception": _dispatch_exception,
+        }
+        lines: List[str] = []
+        charges: Dict[int, int] = {}
 
+        def emit(depth: int, text: str) -> None:
+            lines.append("    " * depth + text)
 
-_NEXT_SEGMENT = _NextSegment()
+        entered: Dict[int, int] = {}
+        guarded = {0}
+        for index, (__, transfer) in enumerate(plan):
+            if transfer.mnemonic == "try.begin":
+                guarded.add(self._segment_of(transfer.operands[0].label))
+            successors = self._successors(index, transfer)
+            for target in successors:
+                entered[target] = entered.get(target, 0) + 1
+            if successors != [index + 1]:
+                guarded.add(index + 1)
+        guarded.update(k for k, n in entered.items() if n > 1)
+
+        def goto(depth: int, index: int, target: int) -> None:
+            if target not in guarded:
+                return  # the next segment continues this one
+            emit(depth, f"seg = {target}")
+            if target <= index:
+                emit(depth, "continue")
+
+        params = [f"p{i}" for i in range(self.cf.param_count)]
+        emit(0, f"def _hilti({', '.join(['ctx'] + params)}):")
+        inits = self.cf.frame_template()[len(params):]
+        slots = params + [_value_source(value, env) for value in inits]
+        emit(1, f"frame = [{', '.join(slots)}]")
+        emit(1, "seg = 0")
+        has_try = any(transfer.mnemonic in ("try.begin", "try.end")
+                      for __, transfer in plan)
+        if has_try:
+            emit(1, "handlers = []")
+        emit(1, "while True:")
+        emit(2, "try:")
+        for index, (parts, transfer) in enumerate(plan):
+            if index in guarded:
+                emit(3, f"if seg == {index}:")
+            emit(4, "ctx.segments_dispatched += 1")
+            count = 0
+            for part in parts:
+                if isinstance(part, list):
+                    statements = self._batch_lines(part, env)
+                else:
+                    step = _bind(env, self.compile_special_step(part))
+                    statements = [f"{step}(ctx, frame)"]
+                for statement in statements:
+                    emit(4, statement)
+                    count += 1
+                    charges[len(lines)] = count
+            emit(4, f"ctx.instr_count += {count + 1}")
+            emit(4, "if ctx.instr_budget is not None and "
+                    "ctx.instr_count > ctx.instr_budget:")
+            emit(5, "_budget_exhausted(ctx)")
+            self._emit_transfer(emit, goto, index, transfer, env)
+        for caught, convert in (("HiltiError as error", False),
+                                ("IndexError as exc", True)):
+            name = "exc" if convert else "error"
+            reraise = "raise error from exc" if convert else "raise"
+            emit(2, f"except {caught}:")
+            emit(3, f"ctx.instr_count += "
+                    f"_charges.get({name}.__traceback__.tb_lineno, 0)")
+            if convert:
+                emit(3, 'error = HiltiError(_INDEX_ERROR, '
+                        'f"index out of range: {exc}")')
+            if has_try:
+                emit(3, "seg = _dispatch_exception(handlers, error, ctx, "
+                        "frame)")
+                emit(3, "if seg is None:")
+                emit(4, reraise)
+            else:
+                emit(3, reraise)
+        env["_charges"] = charges
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<hilti:{self.function.name}>", "exec"), env)
+        return env["_hilti"]
+
+    def _emit_transfer(self, emit: Callable, goto: Callable, index: int,
+                       transfer: Instruction, env: Dict) -> None:
+        mnemonic = transfer.mnemonic
+        operands = transfer.operands
+        if mnemonic == "jump":
+            goto(4, index, self._segment_of(operands[0].label))
+        elif mnemonic == "if.else":
+            emit(4, f"if {self._expr_source(operands[0], env)}:")
+            goto(5, index, self._segment_of(operands[1].label))
+            emit(4, "else:")
+            goto(5, index, self._segment_of(operands[2].label))
+        elif mnemonic == "switch":
+            table = _bind(env, self._switch_table(transfer))
+            emit(4, f"seg = {table}.get("
+                    f"{self._expr_source(operands[0], env)}, "
+                    f"{self._segment_of(operands[1].label)})")
+            if min(self._successors(index, transfer)) <= index:
+                emit(4, "continue")
+        elif mnemonic == "return.void":
+            emit(4, "return None")
+        elif mnemonic == "return.result":
+            emit(4, f"return {self._expr_source(operands[0], env)}")
+        elif mnemonic == "hook.stop":
+            value = self._expr_source(operands[0], env) if operands \
+                else "None"
+            emit(4, f"raise _HookStop({value})")
+        else:
+            if mnemonic == "call":
+                emit(4, self._assign_source(
+                    transfer, self._call_source(transfer, env)))
+            elif mnemonic == "hook.run":
+                emit(4, self._assign_source(
+                    transfer, self._hook_source(transfer, env)))
+            elif mnemonic == "try.begin":
+                handler = _bind(env, self._handler(transfer))
+                emit(4, f"handlers.append({handler})")
+            elif mnemonic == "try.end":
+                emit(4, "if handlers:")
+                emit(5, "handlers.pop()")
+            else:
+                raise LinkError(
+                    f"suspending instruction {mnemonic} in non-suspending "
+                    f"function {self.function.name}"
+                )
+            goto(4, index, index + 1)
 
 
 def compile_program(linked: LinkedProgram,
                     opt_level: int = 1) -> CompiledProgram:
     """Lower every function of *linked* into a CompiledProgram.
 
-    At ``opt_level >= 1``, call/hook dispatch is optimized two ways: sites
+    Functions that cannot suspend become one generated Python function
+    each; the rest become segments for the generator engine.  At
+    ``opt_level >= 1``, call/hook dispatch is optimized two ways: sites
     whose targets provably cannot suspend compile straight into the
-    batches (with per-site inline caches), and the remaining dispatch
+    straight-line code as direct calls, and the remaining dispatch
     controls get their targets resolved to compiled objects at link time
     instead of per-execution name lookups.
     """
     program = CompiledProgram(linked)
     program.opt_level = opt_level
-    module_of: Dict[str, Module] = {}
+    module_of: Dict[int, Module] = {}
     for module in linked.modules:
         for function in module.all_functions():
             module_of[id(function)] = module
-    ir_suspends = _ir_can_suspend(linked, module_of) if opt_level >= 1 \
-        else None
+    suspends = _ir_can_suspend(linked, module_of)
+    late: List[Tuple[Dict, str, Callable]] = []
+
+    def lower(function: Function) -> CompiledFunction:
+        return _FunctionLowering(
+            program, module_of.get(id(function)), function, opt_level,
+            suspends, late,
+        ).lower()
+
     for name, function in linked.functions.items():
-        lowering = _FunctionLowering(
-            program, module_of.get(id(function)), function,
-            opt_level=opt_level, ir_suspends=ir_suspends,
-        )
-        program.functions[name] = _finalize(lowering.lower())
+        program.functions[name] = lower(function)
     for hook_name, bodies in linked.hooks.items():
-        compiled_bodies = []
-        for body in bodies:
-            lowering = _FunctionLowering(
-                program, module_of.get(id(body)), body,
-                opt_level=opt_level, ir_suspends=ir_suspends,
-            )
-            compiled_bodies.append(_finalize(lowering.lower()))
-        program.hooks[hook_name] = compiled_bodies
+        program.hooks[hook_name] = [lower(body) for body in bodies]
+    for env, name, thunk in late:
+        env[name] = thunk()
     for index, var in enumerate(linked.global_layout):
         program._global_inits.append((index, var.init, var.type))
-    _compute_suspension(program)
     if opt_level >= 1:
         _resolve_dispatch(program)
     return program
 
 
-# IR mnemonics that are themselves suspension points; the IR-level
-# analysis mirrors _SUSPENDING_CONTROLS but runs *before* lowering so the
-# batch compiler can inline provably non-suspending call sites.
-_IR_SUSPENDING = {
-    "yield",
-    "timer_mgr.advance",
-    "timer_mgr.advance_global",
-    "timer_mgr.expire_all",
-    "callable.call",
-    "watchpoint.check",
-}
-
-
 def _ir_can_suspend(linked: LinkedProgram,
-                    module_of: Dict[int, Module]) -> Dict[str, bool]:
-    """Whole-program fixpoint over the *IR*: function name -> may suspend.
+                    module_of: Dict[int, Module]) -> Dict[int, bool]:
+    """Whole-program fixpoint: id(function) -> may reach a suspension.
 
-    Same lattice as :func:`_compute_suspension`, computed pre-lowering;
-    anything unresolvable stays conservatively suspending, so the two
-    analyses agree wherever this one says "no".
+    Runs over the live IR before lowering, so the lowering knows up
+    front which functions become plain generated functions and which
+    call sites may compile into straight-line code.  Anything
+    unresolvable stays conservatively suspending.
     """
     entries: List[Function] = list(linked.functions.values())
     for bodies in linked.hooks.values():
         entries.extend(bodies)
-    suspend: Dict[str, bool] = {}
-    callees: Dict[str, set] = {}
-    hook_calls: Dict[str, set] = {}
+    suspend: Dict[int, bool] = {}
+    callees: Dict[int, List[int]] = {}
     for function in entries:
         direct = False
-        called: set = set()
-        hooks_run: set = set()
+        called: List[int] = []
         for block in function.blocks:
-            for instruction in block.instructions:
+            for instruction in _live(block):
                 mnemonic = instruction.mnemonic
-                if mnemonic in _IR_SUSPENDING:
+                if mnemonic in _SUSPENDING:
                     direct = True
                 elif mnemonic == "call":
                     try:
@@ -1123,42 +1145,27 @@ def _ir_can_suspend(linked: LinkedProgram,
                         direct = True  # unresolvable: stay conservative
                         continue
                     if kind == "hilti":
-                        called.add(target.name)
+                        called.append(id(target))
                 elif mnemonic == "hook.run":
-                    operand = instruction.operands[0]
-                    name = operand.name \
-                        if isinstance(operand, (FieldRef, FuncRef)) \
-                        else str(operand)
-                    hooks_run.add(name)
-        suspend[function.name] = direct
-        callees[function.name] = called
-        hook_calls[function.name] = hooks_run
-    bodies_of = {
-        name: [body.name for body in bodies]
-        for name, bodies in linked.hooks.items()
-    }
+                    called.extend(
+                        id(body) for body in linked.hooks.get(
+                            _hook_name(instruction.operands[0]), ())
+                    )
+        suspend[id(function)] = direct
+        callees[id(function)] = called
     changed = True
     while changed:
         changed = False
-        for function in entries:
-            name = function.name
-            if suspend[name]:
-                continue
-            transitively = any(
-                suspend.get(callee, True) for callee in callees[name]
-            ) or any(
-                suspend.get(body, True)
-                for hook in hook_calls[name]
-                for body in bodies_of.get(hook, ())
-            )
-            if transitively:
-                suspend[name] = True
+        for key, called in callees.items():
+            if not suspend[key] and \
+                    any(suspend.get(callee, True) for callee in called):
+                suspend[key] = True
                 changed = True
     return suspend
 
 
 def _resolve_dispatch(program: CompiledProgram) -> None:
-    """Resolve remaining call/hook controls to compiled objects.
+    """Resolve the generator engine's call/hook controls to objects.
 
     The engine accepts either form (name for -O0, object for -O1); this
     removes the per-execution ``program.functions[name]`` /
@@ -1181,72 +1188,44 @@ def _resolve_dispatch(program: CompiledProgram) -> None:
         cf.segments = resolved
 
 
-# Control kinds that are themselves suspension points: yield, and any
-# dispatch whose target is unknown until runtime (timer actions, bound
-# callables) — those must stay on the generator path.
-_SUSPENDING_CONTROLS = {"yield", "advance", "expire", "call_callable", "wp_check"}
-
-
-def _compute_suspension(program: CompiledProgram) -> None:
-    """Whole-program fixpoint: which functions can reach a suspension?
-
-    Functions that cannot suspend execute on a plain call stack
-    (``_run_simple``) with no generator setup per call — the analogue of
-    the real compiler giving non-yielding functions ordinary frames while
-    fiber-capable code carries the context-switching machinery.
-    """
-    everything: List[CompiledFunction] = list(program.functions.values())
-    for bodies in program.hooks.values():
-        everything.extend(bodies)
-
-    def direct_suspends(cf: CompiledFunction) -> bool:
-        return any(
-            control[0] in _SUSPENDING_CONTROLS
-            for __, control, __count in cf.segments
-        )
-
-    suspend = {cf.name: direct_suspends(cf) for cf in everything}
-    by_name = {cf.name: cf for cf in everything}
-
-    changed = True
-    while changed:
-        changed = False
-        for cf in everything:
-            if suspend[cf.name]:
-                continue
-            for __, control, __count in cf.segments:
-                kind = control[0]
-                if kind == "call":
-                    if suspend.get(control[1], control[1] not in by_name):
-                        suspend[cf.name] = True
-                        changed = True
-                        break
-                elif kind == "hook":
-                    bodies = program.hooks.get(control[1], ())
-                    if any(suspend.get(b.name, True) for b in bodies):
-                        suspend[cf.name] = True
-                        changed = True
-                        break
-    for cf in everything:
-        cf.can_suspend = suspend[cf.name]
-
-
-def _finalize(cf: CompiledFunction) -> CompiledFunction:
-    """Resolve _NEXT_SEGMENT placeholders to concrete indices."""
-    resolved = []
-    for index, (steps, control, count) in enumerate(cf.segments):
-        control = tuple(
-            index + 1 if isinstance(item, _NextSegment) else item
-            for item in control
-        )
-        resolved.append((steps, control, count))
-    cf.segments = resolved
-    return cf
-
-
 # --------------------------------------------------------------------------
 # The engine
 # --------------------------------------------------------------------------
+
+
+def _budget_exhausted(ctx) -> None:
+    """Trip the instruction budget; one-shot, so catch handlers can run."""
+    ctx.instr_budget = None
+    raise HiltiError(PROCESSING_TIMEOUT, "instruction budget exhausted")
+
+
+def _run_hooks(ctx, bodies, args):
+    """Run non-suspending hook bodies in order; the ``hook.stop`` value."""
+    for body in bodies:
+        if body.hook_group is not None and \
+                body.hook_group in ctx.hook_groups_disabled:
+            continue
+        try:
+            body.invoke(ctx, args)
+        except _HookStop as stop:
+            return stop.value
+    return None
+
+
+def _drive(gen):
+    """Run a generator-engine activation to completion, stepping over
+    its suspension points."""
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _never_yields(cf: CompiledFunction, ctx, args):
+    """A non-suspending function behind the generator protocol."""
+    return cf.invoke(ctx, args)
+    yield  # pragma: no cover - makes this a generator
 
 
 def _charge_trap(ctx, steps, executed, exc) -> None:
@@ -1283,7 +1262,7 @@ def _charge_trap(ctx, steps, executed, exc) -> None:
 
 
 def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
-    """Run one compiled function as a generator (engine core loop)."""
+    """Run one suspending compiled function as a generator (engine loop)."""
     frame = cf.make_frame(args)
     handlers: List[Tuple[int, object, Optional[Callable]]] = []
     segments = cf.segments
@@ -1300,11 +1279,7 @@ def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
             charged = True
             if ctx.instr_budget is not None and \
                     ctx.instr_count > ctx.instr_budget:
-                # One-shot: disarm so catch handlers can run.
-                ctx.instr_budget = None
-                raise HiltiError(
-                    PROCESSING_TIMEOUT, "instruction budget exhausted"
-                )
+                _budget_exhausted(ctx)
             kind = control[0]
             if kind == "goto":
                 seg = control[1]
@@ -1324,16 +1299,12 @@ def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
                 __, callee, arg_accs, store, nxt = control
                 if callee.__class__ is str:  # -O0: resolve per execution
                     callee = program.functions[callee]
+                call_args = [a(ctx, frame) for a in arg_accs]
                 if callee.can_suspend:
                     result = yield from _execute(
-                        program, ctx, callee,
-                        [a(ctx, frame) for a in arg_accs],
-                    )
+                        program, ctx, callee, call_args)
                 else:
-                    result = _run_simple(
-                        program, ctx, callee,
-                        [a(ctx, frame) for a in arg_accs],
-                    )
+                    result = callee.invoke(ctx, call_args)
                 if store is not None:
                     store(ctx, frame, result)
                 seg = nxt
@@ -1370,7 +1341,10 @@ def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
                             body.hook_group in ctx.hook_groups_disabled:
                         continue
                     try:
-                        yield from _execute(program, ctx, body, list(hook_args))
+                        if body.can_suspend:
+                            yield from _execute(program, ctx, body, hook_args)
+                        else:
+                            body.invoke(ctx, hook_args)
                     except _HookStop as stop:
                         hook_result = stop.value
                         break
@@ -1440,120 +1414,6 @@ def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
                 raise error from exc
 
 
-def _run_simple(program: CompiledProgram, ctx, cf: CompiledFunction, args):
-    """Run a non-suspending compiled function on the plain call stack.
-
-    Mirrors ``_execute`` minus the generator machinery; the suspension
-    analysis guarantees none of the suspending control kinds can occur
-    here (callees are non-suspending too).
-    """
-    frame = cf.make_frame(args)
-    handlers: List[Tuple[int, object, Optional[Callable]]] = []
-    segments = cf.segments
-    seg = 0
-    while True:
-        steps, control, instr_count = segments[seg]
-        ctx.segments_dispatched += 1
-        executed = -1
-        charged = False
-        try:
-            for executed, step in enumerate(steps):
-                step(ctx, frame)
-            ctx.instr_count += instr_count
-            charged = True
-            if ctx.instr_budget is not None and \
-                    ctx.instr_count > ctx.instr_budget:
-                # One-shot: disarm so catch handlers can run.
-                ctx.instr_budget = None
-                raise HiltiError(
-                    PROCESSING_TIMEOUT, "instruction budget exhausted"
-                )
-            kind = control[0]
-            if kind == "goto":
-                seg = control[1]
-                continue
-            if kind == "branch":
-                seg = control[2] if control[1](ctx, frame) else control[3]
-                continue
-            if kind == "switch":
-                value = control[1](ctx, frame)
-                seg = control[2].get(value, control[3])
-                continue
-            if kind == "retv":
-                return control[1](ctx, frame)
-            if kind == "ret":
-                return None
-            if kind == "call":
-                __, callee, arg_accs, store, nxt = control
-                if callee.__class__ is str:  # -O0: resolve per execution
-                    callee = program.functions[callee]
-                result = _run_simple(
-                    program, ctx, callee,
-                    [a(ctx, frame) for a in arg_accs],
-                )
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "ncall":
-                __, native, arg_accs, store, nxt = control
-                result = native(ctx, *[a(ctx, frame) for a in arg_accs])
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "try_push":
-                __, handler_seg, catch_type, store, nxt = control
-                handlers.append((handler_seg, catch_type, store))
-                seg = nxt
-                continue
-            if kind == "try_pop":
-                if handlers:
-                    handlers.pop()
-                seg = control[1]
-                continue
-            if kind == "hook":
-                __, hook_ref, arg_accs, store, nxt = control
-                bodies = program.hooks.get(hook_ref, ()) \
-                    if hook_ref.__class__ is str else hook_ref
-                hook_args = [a(ctx, frame) for a in arg_accs]
-                hook_result = None
-                for body in bodies:
-                    if body.hook_group is not None and \
-                            body.hook_group in ctx.hook_groups_disabled:
-                        continue
-                    try:
-                        _run_simple(program, ctx, body, list(hook_args))
-                    except _HookStop as stop:
-                        hook_result = stop.value
-                        break
-                if store is not None:
-                    store(ctx, frame, hook_result)
-                seg = nxt
-                continue
-            if kind == "hook_stop":
-                value = control[1](ctx, frame) if control[1] is not None else None
-                raise _HookStop(value)
-            raise HiltiError(
-                INTERNAL_ERROR,
-                f"suspending control {kind!r} in non-suspending function "
-                f"{cf.name}",
-            )
-        except HiltiError as error:
-            if not charged:
-                _charge_trap(ctx, steps, executed, error)
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise
-        except IndexError as exc:
-            if not charged:
-                _charge_trap(ctx, steps, executed, exc)
-            error = HiltiError(_INDEX_ERROR, f"index out of range: {exc}")
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise error from exc
-
-
 def _dispatch_exception(handlers, error: HiltiError, ctx, frame):
     """Find the innermost matching handler; None reraises to the caller."""
     while handlers:
@@ -1580,6 +1440,8 @@ def _run_callable(program: CompiledProgram, ctx, bound):
                 return native(ctx, *bound.args)
         else:
             cf = function
+        if not cf.can_suspend:
+            return cf.invoke(ctx, bound.args)
         result = yield from _execute(program, ctx, cf, list(bound.args))
         return result
     if callable(bound):

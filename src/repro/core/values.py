@@ -254,11 +254,20 @@ class Network:
         return self._prefix.family
 
     def contains(self, addr: Addr) -> bool:
-        """True if *addr* lies inside this network."""
-        addr = Addr(addr)
-        if addr.family != self.family:
+        """True if *addr* lies inside this network.
+
+        An address of the other family never matches.  Compares the
+        leading *length* bits as shifted integers, building no ``Addr``
+        on the way (a v4 value keeps its mapped prefix above the shift,
+        equal on both sides).
+        """
+        value = addr._value if addr.__class__ is Addr else Addr(addr)._value
+        prefix = self._prefix._value
+        v4 = prefix >> 32 == 0xFFFF
+        if (value >> 32 == 0xFFFF) is not v4:
             return False
-        return addr.mask(self._length) == self._prefix
+        shift = (32 if v4 else 128) - self._length
+        return value >> shift == prefix >> shift
 
     def __contains__(self, addr) -> bool:
         return self.contains(addr)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.bpf import compile_to_hilti, compile_to_vm, parse_filter
+from repro.apps.bpf.app import BpfApp
 from repro.apps.bpf.lang import (
     And,
     FilterError,
@@ -15,7 +16,8 @@ from repro.apps.bpf.lang import (
     ProtoTest,
 )
 from repro.apps.bpf.vm import BpfVmError
-from repro.core.values import Addr
+from repro.core.values import Addr, Time
+from repro.host.app import PipelineServices
 from repro.net.packet import build_tcp_packet, build_udp_packet
 from repro.net.tracegen import HttpTraceConfig, generate_http_trace
 
@@ -129,6 +131,71 @@ class TestOnTrace:
         interp = compile_to_hilti(node, tier="interpreted")
         for __, frame in frames[:60]:
             assert compiled(frame) == interp(frame)
+
+
+_DNS_FILTER = "udp and port 53 and (net 10.20.0.0/26 or host 192.0.2.1)"
+
+# IPv4 ethertype, then only two bytes of IP header: the first header
+# read past the end traps inside the filter's exception scope.
+_TRUNCATED = b"\x00" * 12 + b"\x08\x00" + b"\x45\x00"
+
+_DNS_PACKETS = [
+    _udp("10.20.0.5", "8.8.8.8", 5353, 53),
+    _udp("10.20.1.5", "192.0.2.1", 53, 1234),
+    _tcp("10.20.0.5", "8.8.8.8", 5353, 53),
+]
+
+
+class TestFilterAccounting:
+    """The filter is one lowered function; its counts must match the
+    segment engine it replaced (the -O1/-O2 literals are that engine's
+    figures) and the interpreter must agree with -O0."""
+
+    def test_truncated_frame(self):
+        runs = {}
+        for tier, level in (("interpreted", 0), ("compiled", 0),
+                            ("compiled", 1), ("compiled", 2)):
+            hilti = compile_to_hilti(_DNS_FILTER, tier=tier,
+                                     opt_level=level)
+            verdict = hilti(_TRUNCATED)
+            runs[tier, level] = (verdict, hilti.ctx.instr_count,
+                                 hilti.ctx.segments_dispatched)
+        assert runs["interpreted", 0][:2] == runs["compiled", 0][:2] == \
+            (False, 6)
+        assert runs["compiled", 1] == runs["compiled", 2] == (False, 6, 4)
+
+    @pytest.mark.parametrize("level,budget,expected", [
+        (0, None, (2, 1, 88, 31)),
+        (1, None, (2, 1, 74, 31)),
+        (2, None, (2, 1, 65, 24)),
+        (0, 8, (0, 3, 30, 14)),
+        (1, 8, (0, 3, 30, 16)),
+        (2, 8, (0, 3, 28, 14)),
+        (1, 20, (0, 3, 52, 22)),
+        (2, 20, (0, 3, 55, 20)),
+    ])
+    def test_watchdog_inside_filter(self, level, budget, expected):
+        # Hilti::ProcessingTimeout is a Hilti::Exception, so the
+        # filter's own scope catches a trip and rejects the packet: no
+        # filter error and no watchdog trip reach the host.
+        app = BpfApp(_DNS_FILTER, opt_level=level,
+                     services=PipelineServices(watchdog_budget=budget))
+        for second, frame in enumerate(_DNS_PACKETS):
+            app.packet(Time(second), frame)
+        ctx = app.engine_contexts()[0][1]
+        assert (app.accepted, app.rejected, ctx.instr_count,
+                ctx.segments_dispatched) == expected
+        assert app.app_stats()["filter_errors"] == 0
+        assert app.services.health.watchdog_trips == 0
+
+    def test_watchdog_interpreter_verdicts(self):
+        for budget, accepted in ((None, 2), (8, 0)):
+            app = BpfApp(_DNS_FILTER, engine="interpreted",
+                         services=PipelineServices(watchdog_budget=budget))
+            for second, frame in enumerate(_DNS_PACKETS):
+                app.packet(Time(second), frame)
+            assert app.accepted == accepted
+            assert app.errors == 0
 
 
 class TestVmVerifier:

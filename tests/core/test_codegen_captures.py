@@ -87,8 +87,8 @@ class TestBatchCaptures:
         assert result == (1 + 10) + (2 + 20)
 
     def test_inlined_calls_keep_own_callees(self, opt_level):
-        # Two call sites in one batch: each inline cache must pin its
-        # own callee and argument list.
+        # Two call sites in one batch: each must bind its own callee
+        # and argument list.
         result = self._run(_CALLS_SRC, "Main::both", [5], opt_level)
         assert result == (5 + 1) + (5 * 2)
 

@@ -12,6 +12,7 @@ that at its fall-through point.
 import pytest
 
 from repro.core import hiltic
+from repro.runtime.exceptions import HiltiError
 
 _FIB = """module Main
 int<64> fib(int<64> n) {
@@ -127,3 +128,96 @@ class TestProfilerDeltasMatchAcrossTiers:
         assert totals["interpreted"] == totals["compiled"]
         assert counts["interpreted"] > 0
         assert abs(counts["interpreted"] - counts["compiled"]) <= 4
+
+
+# A constant tuple index out of range, mid-way through a straight-line
+# run: the trap charges the instructions up to and including it.
+_UNCAUGHT_INDEX = """module Main
+int<64> f(int<64> a) {
+    local tuple<int<64>, int<64>> t
+    local int<64> x
+    x = int.add a 1
+    t = assign (x, a)
+    x = int.mul x 3
+    x = tuple.index t 2
+    return x
+}
+"""
+
+# The same trap inside the function's own exception scope.
+_CAUGHT_INDEX = """module Main
+int<64> f(int<64> a) {
+    local tuple<int<64>, int<64>> t
+    local int<64> x
+    x = int.add a 1
+    try {
+        t = assign (x, a)
+        x = int.mul x 3
+        x = tuple.index t 2
+    } catch (ref<Hilti::IndexError> e) {
+        x = int.sub x 100
+    }
+    x = int.add x 1
+    return x
+}
+"""
+
+
+def _run(source, entry, args, opt_level, tier="compiled", budget=None):
+    program = hiltic([source], tier=tier, opt_level=opt_level)
+    ctx = program.make_context()
+    if budget is not None:
+        ctx.arm_watchdog(budget)
+    try:
+        outcome = ("ok", program.call(ctx, entry, list(args)))
+    except HiltiError as error:
+        outcome = ("raise", error.except_type.type_name)
+    return outcome, ctx.instr_count, ctx.segments_dispatched
+
+
+class TestLoweredFunctionAccounting:
+    """Non-suspending functions lower to one generated Python function.
+
+    Their accounting must match the segment engine they replaced: the
+    -O1/-O2 literals below (instr_count, segments_dispatched) are that
+    engine's figures for the same programs, and the interpreter and -O0
+    keep agreeing on results and counts, traps included.
+    """
+
+    @pytest.mark.parametrize("source,outcome,count,optimized", [
+        (_UNCAUGHT_INDEX, ("raise", "Hilti::IndexError"), 4,
+         {1: (4, 1), 2: (4, 1)}),
+        (_CAUGHT_INDEX, ("ok", -84), 9, {1: (9, 4), 2: (8, 3)}),
+    ], ids=["uncaught", "caught-by-own-scope"])
+    def test_trap_mid_batch(self, source, outcome, count, optimized):
+        interp = _run(source, "Main::f", [4], 0, tier="interpreted")
+        compiled = _run(source, "Main::f", [4], 0)
+        assert interp[:2] == compiled[:2] == (outcome, count)
+        for level, (instrs, segments) in optimized.items():
+            assert _run(source, "Main::f", [4], level) == \
+                (outcome, instrs, segments)
+
+    @pytest.mark.parametrize("source,entry,args,expected", [
+        (_FIB, "Main::fib", [9],
+         {0: (597, 326), 1: (597, 218), 2: (597, 218)}),
+        (_FALL_THROUGH, "Main::walk", [13],
+         {0: (95, 55), 1: (95, 42), 2: (81, 28)}),
+        (_HOOKS, "Main::fire", [7],
+         {0: (39, 24), 1: (39, 17), 2: (31, 9)}),
+    ], ids=["recursion", "void-fall-off", "hook-bodies"])
+    def test_segment_counts(self, source, entry, args, expected):
+        for level, counts in expected.items():
+            assert _run(source, entry, args, level)[1:] == counts
+
+    @pytest.mark.parametrize("source,entry,args,expected", [
+        (_FIB, "Main::fib", [9],
+         {0: (51, 27), 1: (65, 28), 2: (65, 28)}),
+        (_FALL_THROUGH, "Main::walk", [13],
+         {0: (52, 30), 1: (52, 23), 2: (53, 19)}),
+    ], ids=["recursion", "void-fall-off"])
+    def test_watchdog_trip_point(self, source, entry, args, expected):
+        # The budget is checked after each segment's charge, so the trip
+        # lands at the same segment boundary as before.
+        for level, (instrs, segments) in expected.items():
+            assert _run(source, entry, args, level, budget=50) == (
+                ("raise", "Hilti::ProcessingTimeout"), instrs, segments)

@@ -107,6 +107,61 @@ class TestNetwork:
         assert n.contains(a)
 
 
+class TestNetworkContains:
+    """``contains`` compares shifted integers; these pin its answers at
+    the prefix-length edges and under the family rule (a v4-mapped
+    address is IPv4, and families never match across)."""
+
+    @pytest.mark.parametrize("network,inside,outside", [
+        ("0.0.0.0/0", ["0.0.0.0", "255.255.255.255"], []),
+        ("10.20.0.0/26", ["10.20.0.0", "10.20.0.63"],
+         ["10.20.0.64", "10.20.1.0", "9.20.0.1"]),
+        ("192.0.2.1/32", ["192.0.2.1"], ["192.0.2.0", "192.0.2.2"]),
+        ("2001:db8:1:2::/64",
+         ["2001:db8:1:2::", "2001:db8:1:2:ffff:ffff:ffff:ffff"],
+         ["2001:db8:1:3::", "2001:db8:1:1:ffff:ffff:ffff:ffff"]),
+    ], ids=["v4/0", "v4/26", "v4/32", "v6/64"])
+    def test_prefix_edges(self, network, inside, outside):
+        net = Network(network)
+        for text in inside:
+            assert net.contains(Addr(text)), text
+        for text in outside:
+            assert not net.contains(Addr(text)), text
+
+    def test_v6_address_never_in_v4_network(self):
+        assert not Network("0.0.0.0/0").contains(Addr("::1"))
+        assert not Network("10.0.0.0/8").contains(Addr("::a00:1"))
+
+    def test_v4_mapped_address_against_v6_network(self):
+        mapped = Addr("::ffff:10.0.0.1")
+        assert mapped.is_v4
+        assert not Network("::/0").contains(mapped)
+        assert not Network("::/80").contains(mapped)
+        assert Network("10.0.0.0/8").contains(mapped)
+
+    def test_accepts_str_and_int(self):
+        net = Network("10.20.0.0/26")
+        assert net.contains("10.20.0.5")
+        assert not net.contains("10.20.0.64")
+        assert Network("2001:db8::/32").contains("2001:db8::1")
+        assert net.contains(Addr("10.20.0.9").value)
+
+    @given(st.integers(min_value=0, max_value=(1 << 128) - 1),
+           st.integers(min_value=0, max_value=(1 << 128) - 1),
+           st.integers(min_value=0, max_value=128))
+    def test_matches_mask_definition(self, base, probe, length):
+        # Half the draws land in IPv4 (mapped) space.
+        if base & 1:
+            base = Addr.from_v4_int(base >> 96).value
+            length %= 33
+        net = Network(Addr(base), length)
+        addr = Addr(probe if probe & 1 else
+                    Addr.from_v4_int(probe >> 96).value)
+        expected = addr.family == net.family and \
+            addr.mask(length) == net.prefix
+        assert net.contains(addr) is expected
+
+
 class TestPort:
     def test_parse(self):
         p = Port("80/tcp")
