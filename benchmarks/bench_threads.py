@@ -13,7 +13,7 @@ scaling.)
 import pytest
 
 from repro.core import hiltic
-from repro.net.flows import flow_hash, flow_of_frame
+from repro.net.flows import flow_hash, frame_flow_key
 from repro.net.packet import parse_ethernet
 from repro.runtime.bytes_buffer import Bytes
 from repro.runtime.threads import Scheduler
@@ -45,13 +45,13 @@ int<64> get_bytes() {
 def jobs(dns_trace):
     out = []
     for __, frame in dns_trace:
-        ft = flow_of_frame(frame)
+        info = frame_flow_key(frame)
         __, udp = parse_ethernet(frame)
-        if ft is None or not udp.payload:
+        if info is None or not udp.payload:
             continue
         payload = Bytes(udp.payload)
         payload.freeze()
-        out.append((flow_hash(ft), payload))
+        out.append((flow_hash(info[0]), payload))
     return out
 
 

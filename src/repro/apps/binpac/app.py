@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...host.app import HostApp, PipelineServices
 from ...host.demux import FlowDemux
-from ...host.parallel import LaneSpec, flow_key
+from ...host.parallel import LaneSpec
 from ...net.packet import PROTO_TCP, PROTO_UDP
 from ...runtime.bytes_buffer import Bytes
 from ...runtime.exceptions import (
@@ -274,7 +274,7 @@ class PacApp(HostApp):
         if protocol is None:
             return None
         if self._uid_map is not None:
-            uid = self._uid_map.get(flow_key(flow))
+            uid = self._uid_map.get(flow.key)
         else:
             uid = format_flow_uid(self._serial)
         if flow.protocol == PROTO_TCP:

@@ -24,7 +24,7 @@ from ...host.app import HostApp, PipelineServices
 from ...host.flowtable import FlowTable
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import frame_flow_info
+from ...net.flows import frame_flow_key
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH
 from ...runtime.telemetry import Telemetry
@@ -81,12 +81,11 @@ class BpfApp(HostApp):
             ctx.disarm_watchdog()
 
     def packet(self, timestamp, frame: bytes) -> None:
-        info = frame_flow_info(frame)
+        info = frame_flow_key(frame)
         if info is not None:
-            flow, payload_len, tcp_flags = info
-            self.flows.account(flow, timestamp.seconds,
-                               payload_len=payload_len,
-                               tcp_flags=tcp_flags)
+            key, sender_is_first, payload_len, tcp_flags = info
+            self.flows.account(key, sender_is_first, timestamp.seconds,
+                               payload_len, tcp_flags)
         health = self.services.health
         begin = _time.perf_counter_ns()
         try:

@@ -21,7 +21,7 @@ import time as _time
 from typing import Callable, Dict, Optional, Tuple
 
 from ...core.values import Port, Time
-from ...net.flows import FiveTuple
+from ...net.flows import FlowKey, orient
 from ...net.packet import (
     PROTO_TCP,
     PROTO_UDP,
@@ -47,14 +47,14 @@ __all__ = ["ConnectionTracker"]
 
 
 class _TcpConnection:
-    """Per-direction packet/byte accounting lives in the shared
-    ledger's :class:`~repro.host.flowtable.FlowEntry` (``entry``); the
-    tracker keeps only what is Bro's — conn_val, reassembler, analyzer,
+    """Per-direction packet/byte accounting and the originator's end of
+    the key live in the shared ledger's
+    :class:`~repro.host.flowtable.FlowEntry` (``entry``); the tracker
+    keeps only what is Bro's — conn_val, reassembler, analyzer,
     lifecycle state."""
 
     __slots__ = ("key", "conn_val", "reassembler", "analyzer",
-                 "established", "orig_is_first", "entry", "last_time",
-                 "span")
+                 "established", "entry", "last_time", "span")
 
     def __init__(self, key, conn_val, reassembler, analyzer, entry):
         self.key = key
@@ -68,8 +68,8 @@ class _TcpConnection:
 
 
 class _UdpFlow:
-    __slots__ = ("key", "conn_val", "analyzer", "orig_is_first",
-                 "entry", "last_time", "span")
+    __slots__ = ("key", "conn_val", "analyzer", "entry", "last_time",
+                 "span")
 
     def __init__(self, key, conn_val, analyzer, entry):
         self.key = key
@@ -113,8 +113,8 @@ class ConnectionTracker:
         # order before fan-out, so every lane labels its connections
         # exactly as the sequential pipeline would (docs/PARALLELISM.md).
         self._uid_map = uid_map
-        self._tcp: Dict[FiveTuple, _TcpConnection] = {}
-        self._udp: Dict[FiveTuple, _UdpFlow] = {}
+        self._tcp: Dict[FlowKey, _TcpConnection] = {}
+        self._udp: Dict[FlowKey, _UdpFlow] = {}
         # TIME_WAIT: keys of recently torn-down TCP connections.  The
         # teardown's trailing bare ACK arrives after both FINs completed
         # the reassembler, so the connection entry is already gone; it
@@ -220,12 +220,12 @@ class ConnectionTracker:
 
     # -- eviction ----------------------------------------------------------------
 
-    def _on_evict_conn(self, key: FiveTuple, reason: str) -> bool:
+    def _on_evict_conn(self, key: FlowKey, reason: str) -> bool:
         """The ledger's owner callback: close one TTL/cap victim with
         full final-flush semantics — the analyzer finishes, the
         conn_val is finalized, and ``connection_state_remove`` fires,
         so an evicted connection still gets its conn.log line."""
-        if key.protocol == PROTO_TCP:
+        if key[4] == PROTO_TCP:
             connection = self._tcp.pop(key, None)
             if connection is None:
                 return False
@@ -306,9 +306,9 @@ class ConnectionTracker:
     # -- TCP ------------------------------------------------------------------
 
     def _tcp_packet(self, timestamp: Time, ip, segment: TCPSegment) -> None:
-        flow = FiveTuple(ip.src, ip.dst, segment.src_port,
-                         segment.dst_port, PROTO_TCP)
-        key, sender_is_first = flow.canonical_with_origin()
+        key, sender_is_first = orient(ip.src.value, segment.src_port,
+                                      ip.dst.value, segment.dst_port,
+                                      PROTO_TCP)
         connection = self._tcp.get(key)
         if connection is None and key in self._timewait:
             if not (segment.flags & SYN) and not segment.payload:
@@ -334,12 +334,9 @@ class ConnectionTracker:
                 key, conn_val,
                 ConnectionReassembler(),
                 analyzer,
-                self.table.open(flow, timestamp.seconds,
+                self.table.open(key, sender_is_first, timestamp.seconds,
                                 uid=conn_val.get_or("uid")),
             )
-            # The canonical key loses direction; remember which canonical
-            # side is the originator.
-            connection.orig_is_first = sender_is_first
             self._tcp[key] = connection
             self._note_flow_opened("tcp")
             if self.tracer.enabled:
@@ -348,7 +345,7 @@ class ConnectionTracker:
                     resp_port=segment.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])
-        is_orig = sender_is_first == connection.orig_is_first
+        is_orig = sender_is_first == connection.entry.orig_is_first
         connection.last_time = timestamp
         if self._evicting:
             self.table.touch(key, timestamp.seconds)
@@ -434,9 +431,9 @@ class ConnectionTracker:
     # -- UDP -----------------------------------------------------------------
 
     def _udp_packet(self, timestamp: Time, ip, datagram: UDPDatagram) -> None:
-        five = FiveTuple(ip.src, ip.dst, datagram.src_port,
-                         datagram.dst_port, PROTO_UDP)
-        key, sender_is_first = five.canonical_with_origin()
+        key, sender_is_first = orient(ip.src.value, datagram.src_port,
+                                      ip.dst.value, datagram.dst_port,
+                                      PROTO_UDP)
         flow = self._udp.get(key)
         if flow is None:
             conn_val = self.core.make_connection_val(
@@ -451,9 +448,9 @@ class ConnectionTracker:
             if analyzer is not None:
                 self.core.health.breaker.record_flow()
             flow = _UdpFlow(key, conn_val, analyzer,
-                            self.table.open(five, timestamp.seconds,
+                            self.table.open(key, sender_is_first,
+                                            timestamp.seconds,
                                             uid=conn_val.get_or("uid")))
-            flow.orig_is_first = sender_is_first
             self._udp[key] = flow
             self._note_flow_opened("udp")
             if self.tracer.enabled:
@@ -462,7 +459,7 @@ class ConnectionTracker:
                     resp_port=datagram.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])
-        is_orig = sender_is_first == flow.orig_is_first
+        is_orig = sender_is_first == flow.entry.orig_is_first
         flow.last_time = timestamp
         if self._evicting:
             self.table.touch(key, timestamp.seconds)

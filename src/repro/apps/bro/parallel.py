@@ -34,7 +34,6 @@ from ...host.parallel import (
     LaneSpec,
     ParallelPipeline,
     dispatch_plan as _host_dispatch_plan,
-    flow_key,
     merge_health,
     prof_snapshots,
 )
@@ -42,7 +41,7 @@ from ...runtime.telemetry import Telemetry
 from .core import format_uid
 from .main import Bro
 
-__all__ = ["BroLaneSpec", "ParallelBro", "dispatch_plan", "flow_key",
+__all__ = ["BroLaneSpec", "ParallelBro", "dispatch_plan",
            "LIFECYCLE_EVENTS"]
 
 #: Events every lane raises once; the merge de-duplicates their counts so

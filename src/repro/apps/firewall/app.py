@@ -25,7 +25,7 @@ from ...host.app import HostApp, PipelineServices
 from ...host.flowtable import FlowTable
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import _fnv1a, flow_of_frame, frame_flow_info
+from ...net.flows import FlowKey, _fnv1a, _packed, frame_flow_key
 from ...net.packet import PacketError, parse_ethernet
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH, SITE_PACKET_PARSE
@@ -40,23 +40,17 @@ __all__ = ["FirewallApp", "FirewallLaneSpec", "ENGINES",
 ENGINES = ("compiled", "interpreted", "reference")
 
 
-def host_pair_key(flow) -> Tuple:
+def host_pair_key(key: FlowKey) -> Tuple[int, int]:
     """The unordered address pair whose dynamic-rule state the packet
-    touches — the firewall's state-locality unit."""
-    a, b = flow.src, flow.dst
-    if a.value <= b.value:
-        return (a.value, b.value)
-    return (b.value, a.value)
+    touches — the firewall's state-locality unit.  A flow key's first
+    address is never above its second, so the pair is already
+    ordered."""
+    return key[0], key[2]
 
 
-def host_pair_place(flow, vthreads: int) -> int:
+def host_pair_place(key: FlowKey, vthreads: int) -> int:
     """Deterministic, direction-symmetric lane placement by host pair."""
-    a, b = flow.src, flow.dst
-    if a.value <= b.value:
-        material = a.packed() + b.packed()
-    else:
-        material = b.packed() + a.packed()
-    return _fnv1a(material) % vthreads
+    return _fnv1a(_packed(key[0]) + _packed(key[2])) % vthreads
 
 
 class FirewallApp(HostApp):
@@ -72,7 +66,7 @@ class FirewallApp(HostApp):
             raise ValueError(f"unknown firewall engine {engine!r}")
         super().__init__(services)
         self.engine = engine
-        # The flow ledger.  Fed via frame_flow_info — independent of the
+        # The flow ledger.  Fed via frame_flow_key — independent of the
         # fault-injected decision parse, so the record stream is the
         # same whether or not faults fire (and identical across the
         # parallel backends, whose lanes inject faults independently).
@@ -103,12 +97,11 @@ class FirewallApp(HostApp):
                 ctx.disarm_watchdog()
 
     def packet(self, timestamp, frame: bytes) -> None:
-        info = frame_flow_info(frame)
+        info = frame_flow_key(frame)
         if info is not None:
-            flow, payload_len, tcp_flags = info
-            self.flows.account(flow, timestamp.seconds,
-                               payload_len=payload_len,
-                               tcp_flags=tcp_flags)
+            key, sender_is_first, payload_len, tcp_flags = info
+            self.flows.account(key, sender_is_first, timestamp.seconds,
+                               payload_len, tcp_flags)
         health = self.services.health
         begin = _time.perf_counter_ns()
         try:
@@ -198,14 +191,11 @@ class FirewallLaneSpec(LaneSpec):
     def __init__(self, config: Optional[Dict] = None):
         self.config = config
 
-    def key_of(self, flow) -> Tuple:
-        return host_pair_key(flow)
+    def key_of(self, key: FlowKey) -> Tuple[int, int]:
+        return host_pair_key(key)
 
-    def place(self, flow, vthreads: int, workers: int) -> int:
-        return host_pair_place(flow, vthreads)
-
-    def flow_of(self, frame: bytes):
-        return flow_of_frame(frame)
+    def place(self, key: FlowKey, vthreads: int, workers: int) -> int:
+        return host_pair_place(key, vthreads)
 
     def make_lane(self, uid_map: Dict) -> FirewallApp:
         config = self.config

@@ -23,8 +23,8 @@ harness (``benchmarks/bench_regression.py``) turn it on and off:
 * dead-store elimination — pure results written to locals nobody reads;
 * jump threading — branches into trivial forwarding blocks retarget;
 * straight-line block merging — a block whose only entry is one
-  unconditional predecessor splices into it, so the codegen trampoline
-  dispatches fewer, larger superblocks;
+  unconditional predecessor splices into it, so the code generator
+  lowers fewer, larger segments;
 * dead-block elimination — blocks unreachable in the CFG are dropped.
 
 ``-O2`` adds a second tier on top (guarded by ``level >= 2``):
@@ -35,14 +35,14 @@ harness (``benchmarks/bench_regression.py``) turn it on and off:
   case pins the scrutinee), so re-tests of the same condition fold;
 * intra-module inlining — small single-block leaf functions splice into
   their call sites (direct ``call`` operands are statically monomorphic,
-  the IR-level analogue of the codegen tier's per-site inline caches);
+  so the target is known at compile time);
 * flow-function specialization — call sites passing constant arguments
   to a small function retarget to a per-signature clone whose seeded
   parameters the regular pipeline then folds;
 * superblock formation — a block ending in ``jump`` to a small
   multi-predecessor block absorbs a copy of it (tail duplication),
   extending ``merge_blocks``/``thread_jumps`` into straight-line traces
-  the dispatch trampoline runs as one segment.
+  the code generator lowers as one segment.
 
 ``-O2`` must never change observable behaviour; ``repro.tools.fuzz``
 differentially tests every level against the interpreter oracle.
@@ -714,8 +714,8 @@ def merge_blocks(function: Function, stats: OptStats) -> None:
 
     After jump threading the CFG often contains chains ``A -jump-> B``
     (or fallthroughs) where B has no other entry; merging them gives the
-    code generator longer straight-line runs — fewer, larger superblocks
-    on the dispatch trampoline.  Entry blocks and try-handler targets are
+    code generator longer straight-line runs — fewer, larger segments
+    in the lowered function.  Entry blocks and try-handler targets are
     never merged away (exceptional control enters handlers edge-free).
     """
     while True:
@@ -931,9 +931,8 @@ def inline_calls(module: Module, stats: OptStats) -> None:
     """Splice small leaf functions into their intra-module call sites.
 
     Direct ``call`` operands name their target statically, so every site
-    is monomorphic by construction — the IR-level counterpart of the
-    codegen tier's per-call-site inline caches, but paying the dispatch
-    cost zero times instead of once.
+    is monomorphic by construction; splicing the body in removes the
+    call, its frame set-up and its segment transfer altogether.
     """
     candidates = _inline_candidates(module)
     if not candidates:
@@ -1064,7 +1063,7 @@ def form_superblocks(function: Function, stats: OptStats) -> None:
 
     ``merge_blocks`` only absorbs single-predecessor blocks; a hot trace
     through a shared join (a loop header, a common exit) still pays one
-    trampoline dispatch per ``jump``.  Copying a small multi-predecessor
+    segment transfer per ``jump``.  Copying a small multi-predecessor
     target into the jumping block extends the straight-line segment the
     code generator batches — classic superblock formation via tail
     duplication.  Growth is budgeted to at most ~2x the function, copies

@@ -27,7 +27,6 @@ from .parallel import (
     ParallelPipeline,
     default_backend,
     dispatch_plan,
-    flow_key,
 )
 from .pipeline import Pipeline
 from .pool import PoolError, WorkerPool
@@ -56,5 +55,4 @@ __all__ = [
     "default_backend",
     "dispatch_plan",
     "export_health",
-    "flow_key",
 ]

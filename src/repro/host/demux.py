@@ -30,9 +30,9 @@ original unbounded table.
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..net.flows import FiveTuple
+from ..net.flows import FiveTuple, FlowKey, orient
 from ..net.packet import (
     PROTO_TCP,
     PROTO_UDP,
@@ -51,12 +51,11 @@ _BUDGET_CHECK_INTERVAL = 64
 
 
 class _Flow:
-    __slots__ = ("key", "handler", "originator", "reassembler", "closed")
+    __slots__ = ("key", "handler", "reassembler", "closed")
 
-    def __init__(self, key: Tuple, handler, originator: Optional[Tuple]):
+    def __init__(self, key: FlowKey, handler):
         self.key = key
         self.handler = handler
-        self.originator = originator
         self.reassembler: Optional[ConnectionReassembler] = None
         self.closed = False
 
@@ -85,7 +84,7 @@ class FlowDemux:
                  uid_format: Optional[Callable[[int], str]] = None):
         self._factory = factory
         self._max_pending = max_pending_bytes
-        self._flows: Dict[FiveTuple, _Flow] = {}
+        self._flows: Dict[FlowKey, _Flow] = {}
         self.max_sessions = max_sessions
         self.session_ttl = session_ttl
         self.memory_budget_bytes = memory_budget_bytes
@@ -143,31 +142,32 @@ class FlowDemux:
             self.packets_ignored += 1
             return
         if isinstance(transport, TCPSegment):
-            flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                             transport.dst_port, PROTO_TCP)
+            protocol = PROTO_TCP
             tcp_flags = transport.flags
         elif isinstance(transport, UDPDatagram):
-            flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                             transport.dst_port, PROTO_UDP)
+            protocol = PROTO_UDP
             tcp_flags = 0
         else:
             self.packets_ignored += 1
             return
         if now is not None:
             self._clock = now
-        key = flow.canonical()
+        key, sender_is_first = orient(ip.src.value, transport.src_port,
+                                      ip.dst.value, transport.dst_port,
+                                      protocol)
         state = self._flows.get(key)
         if state is None:
-            handler = self._factory(flow)
+            handler = self._factory(
+                FiveTuple(ip.src, ip.dst, transport.src_port,
+                          transport.dst_port, protocol))
             if handler is None:
                 self.flows_ignored += 1
-                self._flows[key] = state = _Flow(key, None, None)
+                self._flows[key] = state = _Flow(key, None)
                 state.closed = True
             else:
                 self.flows_opened += 1
-                state = _Flow(key, handler,
-                              (flow.src.value, flow.src_port))
-                if flow.protocol == PROTO_TCP:
+                state = _Flow(key, handler)
+                if protocol == PROTO_TCP:
                     state.reassembler = ConnectionReassembler(
                         on_data=handler.data,
                         on_close=lambda s=state: self._close(s),
@@ -175,11 +175,13 @@ class FlowDemux:
                     )
                 self._flows[key] = state
         # Ledger accounting covers every flow — tombstones included, so
-        # records and serials are a pure function of trace content.
-        self.table.account(
-            flow, self._clock if self._clock is not None else 0.0,
-            payload_len=len(transport.payload), tcp_flags=tcp_flags,
-            touch=False)
+        # records and serials are a pure function of trace content.  The
+        # ledger entry lives exactly as long as the flow's state and
+        # remembers which end of the key the originator is.
+        entry = self.table.account(
+            key, sender_is_first,
+            self._clock if self._clock is not None else 0.0,
+            len(transport.payload), tcp_flags, touch=False)
         if self._evicting:
             self._fed += 1
             if self._clock is not None:
@@ -187,7 +189,7 @@ class FlowDemux:
             self._run_eviction()
         if state.handler is None or state.closed:
             return
-        is_orig = (flow.src.value, flow.src_port) == state.originator
+        is_orig = sender_is_first == entry.orig_is_first
         budget = self.flow_budget_ns
         begin = _time.perf_counter_ns() if budget is not None else 0
         if state.reassembler is not None:
@@ -239,7 +241,7 @@ class FlowDemux:
 
     # -- eviction ----------------------------------------------------------
 
-    def _on_evict_flow(self, key: FiveTuple, reason: str) -> bool:
+    def _on_evict_flow(self, key: FlowKey, reason: str) -> bool:
         """The ledger's owner callback: final-flush a TTL/cap victim.
         Returns whether the eviction counts (tombstones do not)."""
         state = self._flows.pop(key, None)
@@ -279,8 +281,7 @@ class FlowDemux:
             if state.closed:
                 continue
             out.append({
-                "key": [[key.src.value, key.src_port],
-                        [key.dst.value, key.dst_port], key.protocol],
+                "key": [[key[0], key[1]], [key[2], key[3]], key[4]],
                 "uid": getattr(state.handler, "uid", None),
                 "protocol": getattr(state.handler, "protocol", None),
                 "last_active": self.table.last_active(key),

@@ -7,7 +7,7 @@ re-implemented three times — :class:`repro.host.demux.FlowDemux`,
 keying, uid assignment, per-direction accounting, and TTL/LRU/cap
 eviction loop.  :class:`FlowTable` is that logic factored out once:
 
-* **keying** — canonical :class:`~repro.net.flows.FiveTuple` objects
+* **keying** — flat :data:`~repro.net.flows.FlowKey` int tuples
   (direction-independent; both directions of a connection hit the same
   entry), with the originator orientation captured from the first
   packet;
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..core.values import Addr
 from ..net.flowrecord import FlowRecord
-from ..net.flows import FiveTuple
+from ..net.flows import FlowKey
 from .eviction import SessionLRU
 
 __all__ = ["FlowEntry", "FlowTable"]
@@ -43,25 +44,20 @@ __all__ = ["FlowEntry", "FlowTable"]
 class FlowEntry:
     """One open flow's ledger state.
 
-    ``src``/``src_port`` is the originator end (first packet's sender);
-    the entry is keyed by the canonical 5-tuple, so both directions
-    update the same counters.
+    The entry is keyed by the direction-independent :data:`FlowKey`, so
+    both directions update the same counters; ``orig_is_first`` says
+    whether the originator (the first packet's sender) is the key's
+    first end.
     """
 
-    __slots__ = ("key", "src", "dst", "src_port", "dst_port", "protocol",
-                 "uid", "first_ts", "last_ts", "orig_pkts", "orig_bytes",
-                 "resp_pkts", "resp_bytes", "tcp_flags")
+    __slots__ = ("key", "orig_is_first", "uid", "first_ts", "last_ts",
+                 "orig_pkts", "orig_bytes", "resp_pkts", "resp_bytes",
+                 "tcp_flags")
 
-    def __init__(self, key: FiveTuple, flow: FiveTuple, now: float,
+    def __init__(self, key: FlowKey, orig_is_first: bool, now: float,
                  uid: Optional[str]):
         self.key = key
-        # Originator orientation: the directional tuple of the first
-        # packet, not the canonical order.
-        self.src = flow.src
-        self.dst = flow.dst
-        self.src_port = flow.src_port
-        self.dst_port = flow.dst_port
-        self.protocol = flow.protocol
+        self.orig_is_first = orig_is_first
         self.uid = uid
         self.first_ts = now
         self.last_ts = now
@@ -70,11 +66,6 @@ class FlowEntry:
         self.resp_pkts = 0
         self.resp_bytes = 0
         self.tcp_flags = 0
-
-    def is_orig(self, flow: FiveTuple) -> bool:
-        """Does *flow* (a directional tuple) travel originator->responder?"""
-        return (flow.src.value, flow.src_port) == \
-            (self.src.value, self.src_port)
 
     def add(self, now: float, payload_len: int, tcp_flags: int,
             is_orig: bool) -> None:
@@ -88,10 +79,16 @@ class FlowEntry:
             self.resp_bytes += payload_len
 
     def to_record(self, reason: str) -> FlowRecord:
+        # Address strings are formatted only here, once per flow.
+        lo, lo_port, hi, hi_port, protocol = self.key
+        if self.orig_is_first:
+            src, src_port, dst, dst_port = lo, lo_port, hi, hi_port
+        else:
+            src, src_port, dst, dst_port = hi, hi_port, lo, lo_port
         return FlowRecord(
-            src=str(self.src), dst=str(self.dst),
-            src_port=self.src_port, dst_port=self.dst_port,
-            protocol=self.protocol, uid=self.uid,
+            src=str(Addr(src)), dst=str(Addr(dst)),
+            src_port=src_port, dst_port=dst_port,
+            protocol=protocol, uid=self.uid,
             first_ts=self.first_ts, last_ts=self.last_ts,
             orig_pkts=self.orig_pkts, orig_bytes=self.orig_bytes,
             resp_pkts=self.resp_pkts, resp_bytes=self.resp_bytes,
@@ -165,40 +162,40 @@ class FlowTable:
             return self.uid_format(self.serial)
         return None
 
-    def open(self, flow: FiveTuple, now: float,
+    def open(self, key: FlowKey, sender_is_first: bool, now: float,
              uid: Optional[str] = None) -> FlowEntry:
-        """Open a ledger entry for a first-sighted flow.
+        """Open a ledger entry for a first-sighted flow whose first
+        packet's sender is the key's first end iff *sender_is_first*.
 
         Bumps the arrival serial (every first sight counts, ignored or
         not — the dispatcher's pre-assignment counts the same way) and
         resolves the uid: explicit > uid_map > uid_format(serial).
         """
-        key = flow.canonical()
         self.serial += 1
-        entry = FlowEntry(key, flow, now, self._uid_for(key, uid))
+        entry = FlowEntry(key, sender_is_first, now,
+                          self._uid_for(key, uid))
         self._entries[key] = entry
         return entry
 
-    def account(self, flow: FiveTuple, now: float, payload_len: int = 0,
-                tcp_flags: int = 0, uid: Optional[str] = None,
-                is_orig: Optional[bool] = None,
-                touch: bool = True) -> FlowEntry:
+    def account(self, key: FlowKey, sender_is_first: bool, now: float,
+                payload_len: int = 0, tcp_flags: int = 0,
+                uid: Optional[str] = None, touch: bool = True) -> FlowEntry:
         """Account one packet: open on first sight, then update
         last-activity, the per-direction counters, and the flag union.
 
-        *is_orig* defaults to comparing the packet's source end against
-        the entry's originator end; owners that track orientation
-        themselves (ConnectionTracker) pass it explicitly.  Owners with
-        their own recency discipline (FlowDemux touches only once a
-        clock is known) pass ``touch=False`` and drive :meth:`touch`.
+        *key* and *sender_is_first* come from
+        :func:`~repro.net.flows.orient` (or
+        :func:`~repro.net.flows.frame_flow_key`); the packet travels
+        originator->responder iff its sender is on the same end of the
+        key as the first packet's.  Owners with their own recency
+        discipline (FlowDemux touches only once a clock is known) pass
+        ``touch=False`` and drive :meth:`touch`.
         """
-        key = flow.canonical()
         entry = self._entries.get(key)
         if entry is None:
-            entry = self.open(flow, now, uid=uid)
-        if is_orig is None:
-            is_orig = entry.is_orig(flow)
-        entry.add(now, payload_len, tcp_flags, is_orig)
+            entry = self.open(key, sender_is_first, now, uid=uid)
+        entry.add(now, payload_len, tcp_flags,
+                  sender_is_first == entry.orig_is_first)
         if touch and self.evicting:
             self._lru.touch(key, now)
         return entry
@@ -274,10 +271,9 @@ class FlowTable:
             if len(out) >= limit:
                 break
             out.append({
-                "key": [[key.src.value, key.src_port],
-                        [key.dst.value, key.dst_port], key.protocol],
+                "key": [[key[0], key[1]], [key[2], key[3]], key[4]],
                 "uid": entry.uid,
-                "protocol": entry.protocol,
+                "protocol": key[4],
                 "last_active": self._lru.last_active(key),
             })
         return out

@@ -37,7 +37,7 @@ import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.values import Time
-from ..net.flows import FiveTuple, flow_of_frame, placement
+from ..net.flows import FlowKey, frame_flow_key, placement
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
 from .worker import process_worker as _process_worker  # noqa: F401 (re-export)
@@ -47,7 +47,6 @@ __all__ = [
     "ParallelPipeline",
     "default_backend",
     "dispatch_plan",
-    "flow_key",
     "merge_health",
     "prof_snapshots",
     "usable_cpus",
@@ -72,14 +71,6 @@ def default_backend() -> str:
     return "pool" if usable_cpus() > 1 else "process"
 
 
-def flow_key(flow: FiveTuple) -> FiveTuple:
-    """The canonical per-connection key — the direction-independent
-    :class:`FiveTuple` itself (value-hashed, picklable).  The dispatcher
-    and the lanes' flow tables build exactly the same object, so
-    pre-assigned uids resolve across process boundaries."""
-    return flow.canonical()
-
-
 class LaneSpec:
     """Picklable description of one application's parallel lanes."""
 
@@ -98,17 +89,20 @@ class LaneSpec:
 
     # -- flow placement (the Bro defaults; apps may reshard) --------------
 
-    def flow_of(self, frame: bytes):
-        """The frame's flow, or ``None`` for stray frames (lane 0)."""
-        return flow_of_frame(frame)
+    def flow_of(self, frame: bytes) -> Optional[FlowKey]:
+        """The frame's :data:`~repro.net.flows.FlowKey` — the same key
+        the lanes' flow tables use, so pre-assigned uids resolve across
+        process boundaries — or ``None`` for stray frames (lane 0)."""
+        info = frame_flow_key(frame)
+        return info[0] if info is not None else None
 
-    def key_of(self, flow) -> Tuple:
+    def key_of(self, key: FlowKey) -> Tuple:
         """The state-locality key lanes shard by."""
-        return flow_key(flow)
+        return key
 
-    def place(self, flow, vthreads: int, workers: int) -> int:
+    def place(self, key: FlowKey, vthreads: int, workers: int) -> int:
         """First-sight placement: the flow's vthread id."""
-        vid, __ = placement(flow, vthreads, workers)
+        vid, __ = placement(key, vthreads, workers)
         return vid
 
     # -- lane lifecycle ---------------------------------------------------
@@ -181,13 +175,12 @@ def dispatch_plan(
                 uid_map[key] = spec.uid_format(serial)
         if spec.record_uid_format is not None:
             # Flow-record uids ride the same map under the flow's own
-            # canonical 5-tuple key — disjoint from ``key_of`` keys when
-            # the app shards by something else (the firewall's host
-            # pairs), identical when it shards by 5-tuple.
-            rkey = flow_key(flow)
-            if rkey not in uid_map:
+            # 5-tuple key — disjoint from ``key_of`` keys when the app
+            # shards by something else (the firewall's host pairs),
+            # identical when it shards by 5-tuple.
+            if flow not in uid_map:
                 record_serial += 1
-                uid_map[rkey] = spec.record_uid_format(record_serial)
+                uid_map[flow] = spec.record_uid_format(record_serial)
         jobs.append((vid, timestamp.nanos, frame))
     return jobs, uid_map
 

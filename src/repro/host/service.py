@@ -686,11 +686,11 @@ class HostService:
     # -- ingest ------------------------------------------------------------
 
     def _place(self, frame: bytes) -> _Lane:
-        flow = self.spec.flow_of(frame)
-        if flow is None:
+        key = self.spec.flow_of(frame)
+        if key is None:
             return self.lanes[0]
         lanes = len(self.lanes)
-        return self.lanes[self.spec.place(flow, lanes, lanes) % lanes]
+        return self.lanes[self.spec.place(key, lanes, lanes) % lanes]
 
     def _ingest_body(self) -> None:
         shed_policy = self.config.overload == "shed"

@@ -1,6 +1,6 @@
 """The packet substrate: wire formats, traces, flows, and reassembly."""
 
-from .flows import FiveTuple, flow_hash, flow_of_frame  # noqa: F401
+from .flows import FiveTuple, flow_hash, frame_flow_key, orient  # noqa: F401
 from .packet import (  # noqa: F401
     EthernetFrame,
     IPv4Packet,

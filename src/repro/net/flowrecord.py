@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -96,8 +97,24 @@ class FlowRecord:
         }
 
     def to_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """The record's JSON line, formatted directly.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))`` for finite timestamps: keys in sorted
+        order, strings escaped as ``json.dumps`` escapes them
+        (``ensure_ascii``), floats as ``repr``.
+        """
+        uid = self.uid
+        return (
+            f'{{"close_reason":{_json_string(self.close_reason)},'
+            f'"dst":{_json_string(self.dst)},"dst_port":{self.dst_port},'
+            f'"first_ts":{round(self.first_ts, 6)!r},'
+            f'"last_ts":{round(self.last_ts, 6)!r},'
+            f'"orig_bytes":{self.orig_bytes},"orig_pkts":{self.orig_pkts},'
+            f'"protocol":{self.protocol},"resp_bytes":{self.resp_bytes},'
+            f'"resp_pkts":{self.resp_pkts},"src":{_json_string(self.src)},'
+            f'"src_port":{self.src_port},"tcp_flags":{self.tcp_flags},'
+            f'"uid":{"null" if uid is None else _json_string(uid)}}}')
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FlowRecord":

@@ -1,4 +1,4 @@
-"""Flows: 5-tuples and hash-based load balancing.
+"""Flows: flat flow keys and hash-based load balancing.
 
 The ID-based virtual-thread model maps directly onto the hash-based
 load-balancing schemes deployed for parallel traffic analysis: hash the
@@ -6,27 +6,34 @@ flow's 5-tuple into an integer and interpret it as the virtual thread to
 run that flow's analysis on (paper, section 3.2).  The hash is symmetric —
 both directions of a connection land on the same thread — matching the
 front-end balancers of NIDS clusters.
+
+Every flow table keys by a :data:`FlowKey`, a tuple of plain ints
+``(lo_addr, lo_port, hi_addr, hi_port, proto)``: the addresses are the
+128-bit :attr:`~repro.core.values.Addr.value` integers (IPv4 stays
+v4-mapped), and the ``(addr, port)`` ends are ordered, so both directions
+of a connection produce the same key.  :func:`orient` builds every key;
+:func:`frame_flow_key` reads one straight from a frame's wire bytes,
+without building any packet or address objects.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core.values import Addr, Port
-from .packet import (
-    PROTO_TCP,
-    PROTO_UDP,
-    IPv4Packet,
-    TCPSegment,
-    UDPDatagram,
-    parse_ethernet,
-)
+from ..core.values import _V4_MAPPED_PREFIX, Addr
+from .packet import PROTO_TCP, PROTO_UDP
 
-__all__ = ["FiveTuple", "flow_hash", "flow_of_frame", "frame_flow_info",
-           "vthread_of", "placement"]
+__all__ = ["FiveTuple", "FlowKey", "flow_hash", "frame_flow_key",
+           "orient", "placement", "vthread_of"]
+
+#: ``(lo_addr, lo_port, hi_addr, hi_port, proto)`` — all plain ints.
+FlowKey = Tuple[int, int, int, int, int]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+_ETHERTYPE_IPV4 = b"\x08\x00"
+_ETHERTYPE_IPV6 = b"\x86\xdd"
 
 
 def _fnv1a(data: bytes) -> int:
@@ -37,8 +44,99 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
+def _packed(value: int) -> bytes:
+    """An address integer's wire bytes: 4 for v4-mapped, else 16."""
+    if value >> 32 == 0xFFFF:
+        return (value & 0xFFFFFFFF).to_bytes(4, "big")
+    return value.to_bytes(16, "big")
+
+
+def orient(src: int, sport: int, dst: int, dport: int,
+           proto: int) -> Tuple[FlowKey, bool]:
+    """``(key, sender_is_first)`` for one directional packet.
+
+    The key puts the smaller ``(addr, port)`` end first; the boolean
+    says whether the packet's sender is that first end — what flow
+    tables need to orient per-direction counters.
+    """
+    if src < dst or (src == dst and sport <= dport):
+        return (src, sport, dst, dport, proto), True
+    return (dst, dport, src, sport, proto), False
+
+
+def frame_flow_key(frame: bytes) -> Optional[Tuple[FlowKey, bool, int, int]]:
+    """``(key, sender_is_first, payload_len, tcp_flags)`` of an Ethernet
+    frame, or None.
+
+    One pass over the wire bytes.  Accepts exactly the frames that
+    :func:`~repro.net.packet.parse_ethernet` parses down to a TCP or UDP
+    header, with the same length rules: the IPv4 ``total_length`` and
+    IPv6 payload length clamp the transport to the captured bytes, the
+    IHL and TCP data offset must fit, and a UDP length below 8 rejects.
+    ``payload_len`` is the transport payload's length; ``tcp_flags`` is
+    the TCP flag byte (0 for UDP).
+    """
+    size = len(frame)
+    ethertype = frame[12:14]
+    if ethertype == _ETHERTYPE_IPV4:
+        if size < 34:
+            return None
+        version_ihl = frame[14]
+        if version_ihl >> 4 != 4:
+            return None
+        start = 14 + (version_ihl & 0x0F) * 4
+        if start < 34 or start > size:
+            return None
+        end = 14 + ((frame[16] << 8) | frame[17])
+        proto = frame[23]
+        src = _V4_MAPPED_PREFIX | int.from_bytes(frame[26:30], "big")
+        dst = _V4_MAPPED_PREFIX | int.from_bytes(frame[30:34], "big")
+    elif ethertype == _ETHERTYPE_IPV6:
+        if size < 54 or frame[14] >> 4 != 6:
+            return None
+        start = 54
+        end = 54 + ((frame[18] << 8) | frame[19])
+        proto = frame[20]
+        src = int.from_bytes(frame[22:38], "big")
+        dst = int.from_bytes(frame[38:54], "big")
+    else:
+        return None
+    if end > size:
+        end = size
+    # Transport bytes; negative when an IPv4 total_length undercuts the
+    # header, which leaves an empty payload either way.
+    length = end - start
+    if proto == PROTO_TCP:
+        if length < 20:
+            return None
+        offset = (frame[start + 12] >> 4) * 4
+        if offset < 20 or offset > length:
+            return None
+        payload_len = length - offset
+        flags = frame[start + 13]
+    elif proto == PROTO_UDP:
+        if length < 8:
+            return None
+        udp_length = (frame[start + 4] << 8) | frame[start + 5]
+        if udp_length < 8:
+            return None
+        payload_len = (udp_length if udp_length < length else length) - 8
+        flags = 0
+    else:
+        return None
+    key, sender_is_first = orient(
+        src, (frame[start] << 8) | frame[start + 1],
+        dst, (frame[start + 2] << 8) | frame[start + 3], proto)
+    return key, sender_is_first, payload_len, flags
+
+
 class FiveTuple:
-    """A connection identifier: endpoints plus transport protocol."""
+    """A directional connection identifier: endpoints plus transport
+    protocol.
+
+    A display and construction value (tests, the demux's new-flow
+    callback); flow tables key by its :attr:`key`, never by the object.
+    """
 
     __slots__ = ("src", "dst", "src_port", "dst_port", "protocol")
 
@@ -55,37 +153,11 @@ class FiveTuple:
             self.dst, self.src, self.dst_port, self.src_port, self.protocol
         )
 
-    def canonical(self) -> "FiveTuple":
-        """Direction-independent form: smaller endpoint first."""
-        this_end = (self.src.value, self.src_port)
-        that_end = (self.dst.value, self.dst_port)
-        if this_end <= that_end:
-            return self
-        return self.reversed()
-
-    def canonical_with_origin(self) -> Tuple["FiveTuple", bool]:
-        """``(canonical form, src_is_first)`` in one comparison.
-
-        The boolean says whether this tuple's ``src`` end is the
-        canonical tuple's first endpoint — what flow tables need to
-        orient per-direction counters without re-deriving the order.
-        """
-        this_end = (self.src.value, self.src_port)
-        that_end = (self.dst.value, self.dst_port)
-        if this_end <= that_end:
-            return self, True
-        return self.reversed(), False
-
     @property
-    def key(self) -> Tuple:
-        return (self.src, self.dst, self.src_port, self.dst_port,
-                self.protocol)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiveTuple) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+    def key(self) -> FlowKey:
+        """The direction-independent :data:`FlowKey` of this flow."""
+        return orient(self.src.value, self.src_port, self.dst.value,
+                      self.dst_port, self.protocol)[0]
 
     def __repr__(self) -> str:
         proto = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(
@@ -96,31 +168,27 @@ class FiveTuple:
         )
 
 
-def flow_hash(flow: FiveTuple) -> int:
+def flow_hash(key: FlowKey) -> int:
     """A stable, symmetric 64-bit hash of the flow.
 
-    Both directions produce the same value, so scheduling by
-    ``flow_hash(ft) % n_threads`` serializes each connection's analysis on
-    a single virtual thread.
+    *key* is already direction-independent, so both directions produce
+    the same value and scheduling by ``flow_hash(key) % n_threads``
+    serializes each connection's analysis on a single virtual thread.
+    The hashed material is the wire form of the ordered 5-tuple: packed
+    low address, packed high address, both ports and the protocol.
     """
-    canonical = flow.canonical()
-    material = (
-        canonical.src.packed()
-        + canonical.dst.packed()
-        + canonical.src_port.to_bytes(2, "big")
-        + canonical.dst_port.to_bytes(2, "big")
-        + canonical.protocol.to_bytes(1, "big")
-    )
-    return _fnv1a(material)
+    lo, lo_port, hi, hi_port, proto = key
+    return _fnv1a(_packed(lo) + _packed(hi) + lo_port.to_bytes(2, "big")
+                  + hi_port.to_bytes(2, "big") + proto.to_bytes(1, "big"))
 
 
-def vthread_of(flow: FiveTuple, vthreads: int) -> int:
+def vthread_of(key: FlowKey, vthreads: int) -> int:
     """The virtual thread a flow's analysis runs on (§3.2): the
     symmetric flow hash modulo the vthread supply."""
-    return flow_hash(flow) % vthreads
+    return flow_hash(key) % vthreads
 
 
-def placement(flow: FiveTuple, vthreads: int, workers: int) -> Tuple[int, int]:
+def placement(key: FlowKey, vthreads: int, workers: int) -> Tuple[int, int]:
     """``(vthread_id, worker)`` for a flow — the two-level mapping the
     parallel pipeline uses everywhere.
 
@@ -130,42 +198,5 @@ def placement(flow: FiveTuple, vthreads: int, workers: int) -> Tuple[int, int]:
     a pure function of the 5-tuple: both directions of a connection, in
     any run, on any backend, always land on the same vthread and worker.
     """
-    vid = vthread_of(flow, vthreads)
+    vid = vthread_of(key, vthreads)
     return vid, vid % workers
-
-
-def flow_of_frame(frame: bytes) -> Optional[FiveTuple]:
-    """Extract the 5-tuple of an Ethernet frame, or None if not TCP/UDP."""
-    try:
-        ip, transport = parse_ethernet(frame)
-    except Exception:
-        return None
-    if isinstance(transport, TCPSegment):
-        return FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_TCP)
-    if isinstance(transport, UDPDatagram):
-        return FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_UDP)
-    return None
-
-
-def frame_flow_info(frame: bytes) -> Optional[Tuple[FiveTuple, int, int]]:
-    """``(flow, payload_len, tcp_flags)`` of a frame, or None.
-
-    The ledger-feed companion of :func:`flow_of_frame`: what a flow
-    table needs to account one packet — transport payload length and,
-    for TCP, the segment's flag byte (0 for UDP).
-    """
-    try:
-        ip, transport = parse_ethernet(frame)
-    except Exception:
-        return None
-    if isinstance(transport, TCPSegment):
-        flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_TCP)
-        return flow, len(transport.payload), transport.flags
-    if isinstance(transport, UDPDatagram):
-        flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_UDP)
-        return flow, len(transport.payload), 0
-    return None

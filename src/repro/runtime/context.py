@@ -65,7 +65,7 @@ class ExecutionContext:
         self.fiber = None
         self.instr_count = 0
         # Tier dispatch counters (telemetry): basic blocks entered by the
-        # interpreter, segments entered by the compiled-code trampoline.
+        # interpreter, lowered segments entered by compiled code.
         self.blocks_dispatched = 0
         self.segments_dispatched = 0
         # Watchdog: when set, execution raises Hilti::ProcessingTimeout as

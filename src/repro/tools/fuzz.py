@@ -11,8 +11,9 @@ random-but-well-typed programs and drives the oracle at scale::
     python -m repro.tools.fuzz --replay tests/core/fuzz_corpus
     python -m repro.tools.fuzz --seed 7 --count 200 \
         --emit-corpus tests/core/fuzz_corpus
+    python -m repro.tools.fuzz --seed 3 --count 2000 --lanes frames
 
-Four lanes, each a different program source:
+Four default lanes, each a different program source:
 
 * ``module`` — random HILTI modules built through ``core.builder``:
   integer dataflow, branches, bounded loops, switches, lexical
@@ -29,6 +30,17 @@ Four lanes, each a different program source:
 * ``pac`` — malformed HTTP byte streams through the BinPAC++-generated
   parser compiled at every level; unit events, parse errors, and
   completion state must match across levels.
+
+One opt-in lane (name it in ``--lanes``) checks the packet substrate
+instead of the optimizer:
+
+* ``frames`` — generated and mutated Ethernet frames (valid IPv4/IPv6
+  TCP/UDP, truncations, corrupted header fields, raw bytes); the
+  byte-level :func:`~repro.net.flows.frame_flow_key` must accept and
+  reject exactly the frames :func:`reference_flow_key` (built on the
+  object parser ``parse_ethernet``) does, with the same key,
+  orientation, payload length and flags.  Diverging frames are
+  minimized (shortened, then bytes zeroed) before they are printed.
 
 Coverage guidance: each module case's ``-O2`` ``OptStats`` counters
 (which passes actually fired) plus its structural features form a
@@ -61,12 +73,16 @@ from ..runtime.exceptions import HiltiError
 __all__ = [
     "Fuzzer",
     "build_module",
+    "gen_flow_frame",
     "gen_module_spec",
+    "minimize_frame",
     "minimize_module_case",
     "module_case_source",
     "mutate_module_spec",
+    "reference_flow_key",
     "run_corpus_text",
     "run_filter_case",
+    "run_frame_case",
     "run_module_case",
     "run_script_case",
 ]
@@ -634,6 +650,156 @@ def run_filter_case(filter_text: str, frames: Sequence[bytes],
 
 
 # ---------------------------------------------------------------------------
+# Frames lane: the byte-level flow-key extractor vs the object parser
+
+
+def reference_flow_key(frame: bytes):
+    """The oracle for :func:`~repro.net.flows.frame_flow_key`:
+    ``(key, sender_is_first, payload_len, tcp_flags)`` derived from the
+    object parser, or None wherever ``parse_ethernet`` fails or finds
+    no TCP/UDP header.  The key order is computed here independently of
+    ``orient``: the smaller ``(address, port)`` end first."""
+    from ..net.packet import (
+        PROTO_TCP, PROTO_UDP, TCPSegment, UDPDatagram, parse_ethernet)
+
+    try:
+        ip, transport = parse_ethernet(frame)
+    except Exception:
+        return None
+    if isinstance(transport, TCPSegment):
+        protocol, flags = PROTO_TCP, transport.flags
+    elif isinstance(transport, UDPDatagram):
+        protocol, flags = PROTO_UDP, 0
+    else:
+        return None
+    this_end = (ip.src.value, transport.src_port)
+    that_end = (ip.dst.value, transport.dst_port)
+    if this_end <= that_end:
+        key, first = this_end + that_end + (protocol,), True
+    else:
+        key, first = that_end + this_end + (protocol,), False
+    return key, first, len(transport.payload), flags
+
+
+#: Header fields the mutator corrupts: (name, frame offset, width in
+#: bytes, IPv4 vs IPv6 frame or None for both).  Offsets assume the
+#: builders' 20-byte IPv4 header.
+_FRAME_FIELDS = (
+    ("ethertype", 12, 2, None),
+    ("version", 14, 1, None),
+    ("total_length", 16, 2, 4),
+    ("protocol", 23, 1, 4),
+    ("payload_length", 18, 2, 6),
+    ("next_header", 20, 1, 6),
+    ("tcp_offset", 46, 1, 4),
+    ("udp_length", 38, 2, 4),
+    ("tcp_offset", 66, 1, 6),
+    ("udp_length", 58, 2, 6),
+)
+
+
+def gen_flow_frame(rng: random.Random) -> bytes:
+    """One frame for the frames lane: valid, truncated, field-mutated
+    or raw random bytes."""
+    from ..core.values import Addr
+    from ..net.packet import (
+        build_tcp6_packet, build_tcp_packet, build_udp6_packet,
+        build_udp_packet)
+
+    roll = rng.random()
+    if roll < 0.1:
+        raw = bytearray(rng.randrange(256)
+                        for __ in range(rng.randint(0, 80)))
+        if len(raw) >= 14 and rng.random() < 0.7:
+            raw[12:14] = rng.choice((b"\x08\x00", b"\x86\xdd"))
+        return bytes(raw)
+    family = rng.choice((4, 6))
+    if family == 4:
+        src = Addr.from_v4_int(rng.getrandbits(32))
+        dst = src if rng.random() < 0.1 else Addr.from_v4_int(
+            rng.getrandbits(32))
+    else:
+        src = Addr(rng.getrandbits(128))
+        dst = src if rng.random() < 0.1 else Addr(rng.getrandbits(128))
+    sport, dport = rng.randrange(65536), rng.randrange(65536)
+    if rng.random() < 0.1:
+        dport = sport
+    payload = bytes(rng.randrange(256) for __ in range(rng.randint(0, 40)))
+    if rng.random() < 0.5:
+        build = build_tcp_packet if family == 4 else build_tcp6_packet
+        frame = bytearray(build(src, dst, sport, dport,
+                                flags=rng.randrange(256), payload=payload))
+    else:
+        build = build_udp_packet if family == 4 else build_udp6_packet
+        frame = bytearray(build(src, dst, sport, dport, payload=payload))
+    if roll < 0.35:
+        return bytes(frame)
+    if roll < 0.6:
+        return bytes(frame[:rng.randrange(len(frame) + 1)])
+    for __ in range(rng.randint(1, 3)):
+        __, offset, width, only = rng.choice(_FRAME_FIELDS)
+        if only not in (None, family) or offset + width > len(frame):
+            continue
+        if width == 2:
+            value = rng.choice((0, 7, 8, 20, rng.randrange(65536)))
+            frame[offset:offset + 2] = value.to_bytes(2, "big")
+        elif rng.random() < 0.5:
+            # A nibble: version, IHL or data offset.
+            nibble = rng.randrange(16)
+            if rng.random() < 0.5:
+                frame[offset] = (frame[offset] & 0x0F) | (nibble << 4)
+            else:
+                frame[offset] = (frame[offset] & 0xF0) | nibble
+        else:
+            frame[offset] = rng.choice((6, 17, rng.randrange(256)))
+    if rng.random() < 0.3:
+        frame = frame[:rng.randrange(len(frame) + 1)]
+    return bytes(frame)
+
+
+def _extract(frame: bytes):
+    """``frame_flow_key(frame)``, with an exception as its result (the
+    extractor must never raise)."""
+    from ..net.flows import frame_flow_key
+
+    try:
+        return frame_flow_key(frame)
+    except Exception as error:
+        return f"raised {error!r}"
+
+
+def _frame_diverges(frame: bytes) -> bool:
+    return _extract(frame) != reference_flow_key(frame)
+
+
+def minimize_frame(frame: bytes) -> bytes:
+    """Greedily shrink a diverging frame: drop trailing bytes, then
+    zero the bytes that do not matter, keeping the divergence."""
+    data = bytearray(frame)
+    while data and _frame_diverges(bytes(data[:-1])):
+        del data[-1]
+    for index in range(len(data)):
+        if data[index]:
+            saved = data[index]
+            data[index] = 0
+            if not _frame_diverges(bytes(data)):
+                data[index] = saved
+    return bytes(data)
+
+
+def run_frame_case(frames: Sequence[bytes]) -> Dict:
+    """Compare the extractor with the oracle on every frame."""
+    divergences = []
+    for frame in frames:
+        got, want = _extract(frame), reference_flow_key(frame)
+        if got != want:
+            divergences.append(
+                f"frame {frame.hex()}: frame_flow_key {got!r} != "
+                f"reference {want!r}")
+    return {"divergences": divergences}
+
+
+# ---------------------------------------------------------------------------
 # Script lane
 
 
@@ -809,7 +975,8 @@ class Fuzzer:
         self._frames: Optional[List[bytes]] = None
 
     # Lane weights: the module lane is where the optimizer lives.
-    _WEIGHTS = {"module": 6, "filter": 2, "script": 1, "pac": 1}
+    _WEIGHTS = {"module": 6, "filter": 2, "script": 1, "pac": 1,
+                "frames": 1}
 
     def _pick_lane(self) -> str:
         weights = [self._WEIGHTS.get(lane, 1) for lane in self.lanes]
@@ -860,6 +1027,12 @@ class Fuzzer:
         return {"lane": "pac", "payload": payload.hex(),
                 "divergences": result["divergences"]}
 
+    def _frames_case(self) -> Dict:
+        frames = [gen_flow_frame(self.rng) for __ in range(16)]
+        result = run_frame_case(frames)
+        return {"lane": "frames", "frames": frames,
+                "divergences": result["divergences"]}
+
     def run_one(self) -> Dict:
         lane = self._pick_lane()
         case = {
@@ -867,6 +1040,7 @@ class Fuzzer:
             "filter": self._filter_case,
             "script": self._script_case,
             "pac": self._pac_case,
+            "frames": self._frames_case,
         }[lane]()
         self.cases[lane] += 1
         if case["divergences"]:
@@ -875,6 +1049,10 @@ class Fuzzer:
                     case["spec"], case["args"], self.levels)
                 case["minimized"] = module_case_source(
                     spec, args, note="; ".join(case["divergences"]))
+            elif lane == "frames":
+                case["minimized"] = "\n".join(
+                    f"frame {minimize_frame(frame).hex()}"
+                    for frame in case["frames"] if _frame_diverges(frame))
             self.divergences.append(case)
         return case
 
@@ -966,7 +1144,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default all)")
     parser.add_argument("--lanes",
                         default="module,filter,script,pac",
-                        help="comma-separated lanes to fuzz")
+                        help="comma-separated lanes to fuzz (the opt-in "
+                             "'frames' lane is not in the default)")
     parser.add_argument("--max-seconds", type=float, default=0,
                         help="stop after this wall-clock budget "
                              "(0 = no limit)")

@@ -243,18 +243,20 @@ class TestFirewallSharding:
     makes the stateful firewall safe to parallelize."""
 
     def test_symmetry(self, mixed_pcap):
-        from repro.net.flows import flow_of_frame
+        from repro.net.flows import frame_flow_key, orient
         from repro.net.pcap import read_pcap
 
         seen = 0
         for __, frame in read_pcap(mixed_pcap):
-            flow = flow_of_frame(frame)
-            if flow is None:
+            info = frame_flow_key(frame)
+            if info is None:
                 continue
-            rev = flow.reversed()
-            assert host_pair_key(flow) == host_pair_key(rev)
+            lo, lo_port, hi, hi_port, proto = key = info[0]
+            rev, __ = orient(hi, hi_port, lo, lo_port, proto)
+            assert host_pair_key(key) == host_pair_key(rev) \
+                == (min(lo, hi), max(lo, hi))
             for vthreads in (1, 3, 8):
-                assert (host_pair_place(flow, vthreads)
+                assert (host_pair_place(key, vthreads)
                         == host_pair_place(rev, vthreads))
             seen += 1
         assert seen > 0

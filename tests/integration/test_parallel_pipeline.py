@@ -14,10 +14,10 @@ series agree exactly.
 import pytest
 
 from repro.apps.bro import Bro, ParallelBro
-from repro.apps.bro.parallel import dispatch_plan, flow_key
+from repro.apps.bro.parallel import dispatch_plan
 from repro.apps.bro.core import format_uid
 from repro.core.values import Addr
-from repro.net.flows import FiveTuple, flow_of_frame, placement, vthread_of
+from repro.net.flows import FiveTuple, frame_flow_key, placement, vthread_of
 from repro.net.packet import PROTO_TCP
 from repro.host.pool import shutdown_shared_pools
 from repro.net.tracegen import (
@@ -130,11 +130,11 @@ class TestPlacement:
     5-tuple, symmetric, and stable release-to-release (pinned values)."""
 
     FLOW = FiveTuple(Addr("10.0.0.1"), Addr("10.0.0.2"), 40000, 80,
-                     PROTO_TCP)
+                     PROTO_TCP).key
 
     def test_symmetric(self):
         reverse = FiveTuple(Addr("10.0.0.2"), Addr("10.0.0.1"), 80, 40000,
-                            PROTO_TCP)
+                            PROTO_TCP).key
         assert vthread_of(self.FLOW, 16) == vthread_of(reverse, 16)
         assert placement(self.FLOW, 16, 4) == placement(reverse, 16, 4)
 
@@ -157,10 +157,10 @@ class TestDispatchPlan:
         firsts = []
         seen = set()
         for __, frame in mixed_trace:
-            flow = flow_of_frame(frame)
-            if flow is None:
+            info = frame_flow_key(frame)
+            if info is None:
                 continue
-            key = flow_key(flow)
+            key = info[0]
             if key not in seen:
                 seen.add(key)
                 firsts.append(key)
@@ -179,10 +179,10 @@ class TestDispatchPlan:
         jobs, __ = dispatch_plan(mixed_trace, vthreads=16, workers=4)
         by_flow = {}
         for (vid, __, frame) in jobs:
-            flow = flow_of_frame(frame)
-            if flow is None:
+            info = frame_flow_key(frame)
+            if info is None:
                 continue
-            key = flow_key(flow)
+            key = info[0]
             by_flow.setdefault(key, set()).add(vid)
         assert by_flow and all(len(vids) == 1 for vids in by_flow.values())
 

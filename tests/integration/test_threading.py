@@ -11,7 +11,7 @@ identical in every configuration.
 import pytest
 
 from repro.core import hiltic
-from repro.net.flows import flow_hash, flow_of_frame
+from repro.net.flows import flow_hash, frame_flow_key
 from repro.net.packet import parse_ethernet
 from repro.net.tracegen import DnsTraceConfig, generate_dns_trace
 from repro.runtime.threads import Scheduler
@@ -49,12 +49,12 @@ def _dns_payloads(count=120):
     )
     out = []
     for __, frame in frames:
-        ft = flow_of_frame(frame)
+        key = frame_flow_key(frame)[0]
         __, udp = parse_ethernet(frame)
         if len(udp.payload) >= 2:
             payload = Bytes(udp.payload)
             payload.freeze()
-            out.append((flow_hash(ft), payload))
+            out.append((flow_hash(key), payload))
     return out
 
 
@@ -139,11 +139,11 @@ class TestThreadedBinpacParser:
         )
         out = []
         for __, frame in frames:
-            ft = flow_of_frame(frame)
+            key = frame_flow_key(frame)[0]
             __ip, udp = parse_ethernet(frame)
             payload = Bytes(udp.payload)
             payload.freeze()
-            out.append((flow_hash(ft), payload))
+            out.append((flow_hash(key), payload))
         return out
 
     @pytest.mark.parametrize("workers,vthreads", [(1, 1), (2, 8), (4, 16)])

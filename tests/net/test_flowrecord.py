@@ -2,7 +2,7 @@
 
 Unit-level coverage for the flow-record layer (docs/FLOWS.md): the
 ``repro-flowrecords/1`` serialization round-trip, the hand-rolled
-validator's error taxonomy, FiveTuple canonicalization symmetry, the
+validator's error taxonomy, flow-key (``orient``) symmetry, the
 shared :class:`~repro.host.flowtable.FlowTable` (uid precedence,
 bidirectional accounting, TTL/cap eviction with the counted-eviction
 contract, bare-key recency mode), the 19-feature vectors, and the
@@ -12,6 +12,7 @@ contract, bare-key recency mode), the 19-feature vectors, and the
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.values import Addr
 from repro.host.flowtable import FlowTable
@@ -29,13 +30,19 @@ from repro.net.flowrecord import (
     validate_flowrecord_lines,
     write_flowrecords_jsonl,
 )
-from repro.net.flows import FiveTuple
+from repro.net.flows import FiveTuple, orient
 from repro.net.packet import ACK, FIN, PROTO_TCP, PROTO_UDP, SYN
 
 
 def _tuple(sport=1234, dport=80, proto=PROTO_TCP):
     return FiveTuple(Addr("10.0.0.1"), Addr("10.0.0.2"),
                      sport, dport, proto)
+
+
+def _oriented(flow):
+    """``(key, sender_is_first)`` of a directional FiveTuple."""
+    return orient(flow.src.value, flow.src_port, flow.dst.value,
+                  flow.dst_port, flow.protocol)
 
 
 def _record(**overrides):
@@ -79,6 +86,62 @@ class TestFlowRecordSerialization:
         assert header == {
             "schema": FLOWRECORDS_SCHEMA, "app": "bpf", "records": 7,
         }
+
+
+_UIDS = st.one_of(
+    st.none(),
+    st.text(min_size=1, max_size=12),
+    st.sampled_from(['C"quoted"', "back\\slash", "naïve-✓", "\x00\x7f\n",
+                     "\U0001f600"]),
+)
+_ADDRS = st.one_of(
+    st.integers(0, (1 << 32) - 1).map(lambda v: str(Addr.from_v4_int(v))),
+    st.integers(0, (1 << 128) - 1).map(lambda v: str(Addr(v))),
+    st.sampled_from(["::1", "2001:db8::2", "::ffff:1.2.3.4", "fe80::"]),
+)
+_TIMESTAMPS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 4.9999995e-7, 1e300,
+                     1.7976931348623157e308, 1234567890.1234567]),
+    st.integers(-10, 10**12),
+)
+_COUNTERS = st.integers(0, 1 << 40)
+
+
+class TestToLineIdentity:
+    """The direct formatter against the ``json.dumps`` definition."""
+
+    @given(src=_ADDRS, dst=_ADDRS, ports=st.tuples(st.integers(0, 65535),
+                                                  st.integers(0, 65535)),
+           protocol=st.integers(0, 255), uid=_UIDS,
+           stamps=st.tuples(_TIMESTAMPS, _TIMESTAMPS),
+           counters=st.tuples(_COUNTERS, _COUNTERS, _COUNTERS, _COUNTERS),
+           tcp_flags=st.integers(0, 255),
+           reason=st.sampled_from(CLOSE_REASONS))
+    def test_matches_json_dumps(self, src, dst, ports, protocol, uid,
+                                stamps, counters, tcp_flags, reason):
+        first_ts, last_ts = sorted(stamps)
+        record = FlowRecord(
+            src=src, dst=dst, src_port=ports[0], dst_port=ports[1],
+            protocol=protocol, uid=uid, first_ts=first_ts,
+            last_ts=last_ts, orig_pkts=counters[0],
+            orig_bytes=counters[1], resp_pkts=counters[2],
+            resp_bytes=counters[3], tcp_flags=tcp_flags,
+            close_reason=reason)
+        line = record.to_line()
+        assert line == json.dumps(record.to_dict(), sort_keys=True,
+                                  separators=(",", ":"))
+        header = flowrecords_header_line("test", 1)
+        assert validate_flowrecord_lines([header, line]) == []
+
+    def test_edge_values(self):
+        for overrides in ({"uid": None}, {"uid": 'q"\\é'},
+                          {"src": "2001:db8::1", "dst": "::"},
+                          {"first_ts": -0.0, "last_ts": 0.0},
+                          {"first_ts": 1e-9, "last_ts": 1e300}):
+            record = _record(**overrides)
+            assert record.to_line() == json.dumps(
+                record.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class TestValidator:
@@ -158,31 +221,35 @@ class TestValidator:
 
 
 class TestFiveTupleIdentity:
+    """A flow's identity is its FlowKey: ``orient`` maps both directions
+    of a 5-tuple to one plain-int key."""
+
     def test_canonical_symmetry(self):
         forward = _tuple()
-        assert forward.canonical() == forward.reversed().canonical()
-        assert hash(forward.canonical()) == \
-            hash(forward.reversed().canonical())
+        assert forward.key == forward.reversed().key
+        assert hash(forward.key) == hash(forward.reversed().key)
 
-    def test_canonical_with_origin(self):
+    def test_orient_reports_origin(self):
         low_first = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"),
                               10, 20, PROTO_TCP)
-        canon, src_first = low_first.canonical_with_origin()
-        assert src_first and canon == low_first
-        canon2, src_first2 = low_first.reversed().canonical_with_origin()
-        assert not src_first2 and canon2 == canon
+        key, src_first = _oriented(low_first)
+        assert src_first and key == (Addr("1.1.1.1").value, 10,
+                                     Addr("2.2.2.2").value, 20, PROTO_TCP)
+        key2, src_first2 = _oriented(low_first.reversed())
+        assert not src_first2 and key2 == key
 
     def test_port_breaks_address_tie(self):
         a = FiveTuple(Addr("1.1.1.1"), Addr("1.1.1.1"), 9, 5, PROTO_UDP)
-        canon = a.canonical()
-        assert (canon.src_port, canon.dst_port) == (5, 9)
+        key = a.key
+        assert (key[1], key[3]) == (5, 9)
 
     def test_eq_hash_respect_all_fields(self):
-        assert _tuple() == _tuple()
-        assert _tuple() != _tuple(proto=PROTO_UDP)
-        assert _tuple() != _tuple(sport=4321)
-        assert _tuple() != "10.0.0.1:1234"
-        assert len({_tuple(), _tuple(), _tuple(sport=4321)}) == 2
+        assert _tuple().key == _tuple().key
+        assert _tuple().key != _tuple(proto=PROTO_UDP).key
+        assert _tuple().key != _tuple(sport=4321).key
+        assert _tuple().key != "10.0.0.1:1234"
+        assert len({_tuple().key, _tuple().key,
+                    _tuple(sport=4321).key}) == 2
 
     def test_repr_names_protocol(self):
         assert "/tcp" in repr(_tuple())
@@ -194,10 +261,12 @@ class TestFlowTable:
     def test_bidirectional_accounting(self):
         table = FlowTable(uid_format=format_record_uid)
         flow = _tuple()
-        table.account(flow, 1.0, payload_len=100, tcp_flags=SYN)
-        table.account(flow.reversed(), 2.0, payload_len=40,
+        table.account(*_oriented(flow), 1.0, payload_len=100,
+                      tcp_flags=SYN)
+        table.account(*_oriented(flow.reversed()), 2.0, payload_len=40,
                       tcp_flags=SYN | ACK)
-        table.account(flow, 3.5, payload_len=60, tcp_flags=FIN)
+        table.account(*_oriented(flow), 3.5, payload_len=60,
+                      tcp_flags=FIN)
         assert len(table) == 1
         table.finish()
         (record,) = table.records()
@@ -209,30 +278,44 @@ class TestFlowTable:
         assert record.uid == "S000001"
         assert record.close_reason == "finished"
 
+    def test_originator_on_high_end(self):
+        # The first packet comes from the key's second end: the record
+        # still names that sender as src and counts it as orig.
+        table = FlowTable()
+        flow = _tuple().reversed()
+        table.account(*_oriented(flow), 1.0, payload_len=7)
+        table.account(*_oriented(flow.reversed()), 2.0, payload_len=3)
+        table.finish()
+        (record,) = table.records()
+        assert (record.src, record.src_port) == ("10.0.0.2", 80)
+        assert (record.dst, record.dst_port) == ("10.0.0.1", 1234)
+        assert (record.orig_pkts, record.orig_bytes) == (1, 7)
+        assert (record.resp_pkts, record.resp_bytes) == (1, 3)
+
     def test_uid_precedence(self):
-        flow = _tuple()
-        mapped = FlowTable(uid_map={flow.canonical(): "M1"},
+        key, first = _oriented(_tuple())
+        mapped = FlowTable(uid_map={key: "M1"},
                            uid_format=format_record_uid)
-        assert mapped.open(flow, 0.0).uid == "M1"
-        explicit = FlowTable(uid_map={flow.canonical(): "M1"})
-        assert explicit.open(flow, 0.0, uid="X9").uid == "X9"
-        assert FlowTable().open(flow, 0.0).uid is None
+        assert mapped.open(key, first, 0.0).uid == "M1"
+        explicit = FlowTable(uid_map={key: "M1"})
+        assert explicit.open(key, first, 0.0, uid="X9").uid == "X9"
+        assert FlowTable().open(key, first, 0.0).uid is None
 
     def test_serial_counts_every_first_sight(self):
         table = FlowTable(uid_format=format_record_uid)
-        table.account(_tuple(sport=1), 0.0)
-        table.account(_tuple(sport=2), 0.0)
-        table.account(_tuple(sport=1), 1.0)  # repeat: no new serial
+        table.account(*_oriented(_tuple(sport=1)), 0.0)
+        table.account(*_oriented(_tuple(sport=2)), 0.0)
+        table.account(*_oriented(_tuple(sport=1)), 1.0)  # no new serial
         assert table.serial == 2
-        assert table.get(_tuple(sport=2).canonical()).uid == "S000002"
+        assert table.get(_tuple(sport=2).key).uid == "S000002"
 
     def test_ttl_expiry_vs_capacity_eviction(self):
         table = FlowTable(session_ttl=10.0, max_sessions=2)
-        table.account(_tuple(sport=1), 0.0)
+        table.account(*_oriented(_tuple(sport=1)), 0.0)
         table.run_eviction(20.0)
         assert (table.sessions_expired, table.sessions_evicted) == (1, 0)
         for sport in (2, 3, 4):
-            table.account(_tuple(sport=sport), 21.0)
+            table.account(*_oriented(_tuple(sport=sport)), 21.0)
             table.run_eviction(21.0)
         assert table.sessions_evicted == 1
         assert len(table) == 2
@@ -248,7 +331,7 @@ class TestFlowTable:
 
         table = FlowTable(max_sessions=1, on_evict=on_evict)
         for sport in (1, 2, 3):
-            table.account(_tuple(sport=sport), float(sport))
+            table.account(*_oriented(_tuple(sport=sport)), float(sport))
             table.run_eviction(None)
         assert [reason for _, reason in seen] == ["evicted", "evicted"]
         assert table.sessions_evicted == 1  # uncounted victim skipped
@@ -258,7 +341,7 @@ class TestFlowTable:
     def test_record_lines_sorted(self):
         table = FlowTable(uid_format=format_record_uid)
         for sport in (9, 2, 7):
-            table.account(_tuple(sport=sport), 0.0)
+            table.account(*_oriented(_tuple(sport=sport)), 0.0)
         table.finish()
         lines = table.record_lines()
         assert lines == sorted(lines) and len(lines) == 3

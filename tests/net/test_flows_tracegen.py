@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.values import Addr
 from repro.net import ipsumdump
-from repro.net.flows import FiveTuple, flow_hash, flow_of_frame
+from repro.net.flows import FiveTuple, flow_hash, frame_flow_key
 from repro.net.packet import PROTO_TCP, PROTO_UDP, parse_ethernet
 from repro.net.tracegen import (
     DnsTraceConfig,
@@ -24,31 +24,31 @@ class TestFlows:
     def test_symmetric_hash(self):
         ft = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"), 1234, 80,
                        PROTO_TCP)
-        assert flow_hash(ft) == flow_hash(ft.reversed())
+        assert flow_hash(ft.key) == flow_hash(ft.reversed().key)
 
     def test_different_flows_differ(self):
         a = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"), 1234, 80, PROTO_TCP)
         b = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"), 1235, 80, PROTO_TCP)
-        assert flow_hash(a) != flow_hash(b)
+        assert flow_hash(a.key) != flow_hash(b.key)
 
     def test_protocol_distinguishes(self):
         a = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"), 53, 53, PROTO_TCP)
         b = FiveTuple(Addr("1.1.1.1"), Addr("2.2.2.2"), 53, 53, PROTO_UDP)
-        assert flow_hash(a) != flow_hash(b)
+        assert flow_hash(a.key) != flow_hash(b.key)
 
-    def test_flow_of_frame(self):
+    def test_frame_flow_key(self):
         frames = generate_http_trace(HttpTraceConfig(sessions=2))
-        ft = flow_of_frame(frames[0][1])
-        assert ft is not None
-        assert ft.protocol == PROTO_TCP
-        assert flow_of_frame(b"garbage") is None
+        info = frame_flow_key(frames[0][1])
+        assert info is not None
+        assert info[0][4] == PROTO_TCP
+        assert frame_flow_key(b"garbage") is None
 
     @given(st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1),
            st.integers(0, 65535), st.integers(0, 65535))
     def test_hash_direction_invariant(self, a, b, pa, pb):
         ft = FiveTuple(Addr.from_v4_int(a), Addr.from_v4_int(b), pa, pb,
                        PROTO_TCP)
-        assert flow_hash(ft) == flow_hash(ft.reversed())
+        assert flow_hash(ft.key) == flow_hash(ft.reversed().key)
 
 
 class TestHttpTrace:

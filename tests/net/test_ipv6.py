@@ -17,7 +17,7 @@ from repro.net import (
     build_udp6_packet,
     parse_ethernet,
 )
-from repro.net.flows import flow_hash, flow_of_frame
+from repro.net.flows import flow_hash, frame_flow_key, orient
 from repro.net.tracegen import DnsTraceConfig, generate_dns_trace
 
 
@@ -67,18 +67,20 @@ class TestFlows6:
             Addr("2001:db8::1"), Addr("2001:db8::2"), 1234, 53,
             payload=b"x",
         )
-        ft = flow_of_frame(frame)
-        assert ft is not None
-        assert flow_hash(ft) == flow_hash(ft.reversed())
+        info = frame_flow_key(frame)
+        assert info is not None
+        lo, lo_port, hi, hi_port, proto = key = info[0]
+        reverse, __ = orient(hi, hi_port, lo, lo_port, proto)
+        assert flow_hash(key) == flow_hash(reverse)
 
     def test_v4_v6_flows_distinct(self):
         from repro.net import build_udp_packet
 
-        v4 = flow_of_frame(build_udp_packet(
-            Addr("10.0.0.1"), Addr("10.0.0.2"), 1234, 53, payload=b"x"))
-        v6 = flow_of_frame(build_udp6_packet(
+        v4 = frame_flow_key(build_udp_packet(
+            Addr("10.0.0.1"), Addr("10.0.0.2"), 1234, 53, payload=b"x"))[0]
+        v6 = frame_flow_key(build_udp6_packet(
             Addr("2001:db8::1"), Addr("2001:db8::2"), 1234, 53,
-            payload=b"x"))
+            payload=b"x"))[0]
         assert flow_hash(v4) != flow_hash(v6)
 
 
