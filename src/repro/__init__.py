@@ -16,9 +16,17 @@ executable code.  This package provides:
 * ``repro.apps`` — the paper's four host applications: a BPF compiler, a
   stateful firewall, the BinPAC++ parser generator, and a Bro-style script
   compiler.
+
+Every package's public names resolve lazily (``repro._lazy``): a run
+imports only the submodules it executes (docs/ARCHITECTURE.md, "Import
+discipline").
 """
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from .core.toolchain import hilti_build, hiltic, run_source  # noqa: F401
-from .core.values import Addr, Interval, Network, Port, Time  # noqa: F401
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.toolchain": ("hilti_build", "hiltic", "run_source"),
+    ".core.values": ("Addr", "Interval", "Network", "Port", "Time"),
+})

@@ -1,7 +1,12 @@
 """BinPAC++: a yacc for network protocols, targeting HILTI."""
 
-from . import ast  # noqa: F401
-from .codegen import GrammarCompiler, ParseSession, Parser, compile_grammar  # noqa: F401
-from .evt import AnalyzerSpec, EventSpec, EvtFile, build_glue_module, parse_evt  # noqa: F401
-from .parser import parse_grammar  # noqa: F401
-from .runtime import ParseError  # noqa: F401
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".codegen": ("GrammarCompiler", "ParseSession", "Parser",
+                 "compile_grammar"),
+    ".evt": ("AnalyzerSpec", "EventSpec", "EvtFile", "build_glue_module",
+             "parse_evt"),
+    ".parser": ("parse_grammar",),
+    ".runtime": ("ParseError",),
+}, submodules=("ast",))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ...core import types as ht
+from ...core.values import Addr
 from ...runtime.bytes_buffer import Bytes, BytesIter
 from ...runtime.exceptions import EXCEPTION_BASE, HiltiError
 from ...runtime.structs import StructInstance
@@ -189,8 +190,6 @@ def bp_list_size(ctx, value) -> int:
 
 def bp_addr_v4(ctx, rdata):
     """Interpret 4 RDATA bytes as an IPv4 address."""
-    from ...core.values import Addr
-
     raw = _to_raw(rdata)
     if len(raw) != 4:
         raise ParseError(f"A record with {len(raw)} bytes of RDATA")
@@ -198,8 +197,6 @@ def bp_addr_v4(ctx, rdata):
 
 
 def bp_addr_v6(ctx, rdata):
-    from ...core.values import Addr
-
     raw = _to_raw(rdata)
     if len(raw) != 16:
         raise ParseError(f"AAAA record with {len(raw)} bytes of RDATA")

@@ -15,15 +15,17 @@ wire-format detail overlays encapsulate.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.codegen import CompiledProgram
-from ...core.interp import Interpreter
 from ...core.toolchain import hiltic
 from ...runtime.bytes_buffer import Bytes
 from .lang import And, HostTest, NetTest, Node, Not, Or, PortTest, ProtoTest, parse_filter
+
+if TYPE_CHECKING:  # the interpreted tier loads with its toolchain branch
+    from ...core.interp import Interpreter
 
 __all__ = ["compile_to_hilti", "build_filter_module", "HiltiFilter"]
 

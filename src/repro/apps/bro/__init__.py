@@ -1,9 +1,13 @@
 """mini-Bro: event engine, script language, interpreter, HILTI compiler."""
 
-from .core import BroCore  # noqa: F401
-from .interp import ScriptInterp  # noqa: F401
-from .lang import BroParseError, Script, parse_script  # noqa: F401
-from .logging import LogManager, normalize_log  # noqa: F401
-from .main import Bro, default_scripts  # noqa: F401
-from .parallel import ParallelBro  # noqa: F401
-from .val import RecordVal, SetVal, TableVal, VectorVal  # noqa: F401
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": ("BroCore",),
+    ".interp": ("ScriptInterp",),
+    ".lang": ("BroParseError", "Script", "parse_script"),
+    ".logging": ("LogManager", "normalize_log"),
+    ".main": ("Bro", "default_scripts"),
+    ".parallel": ("ParallelBro",),
+    ".val": ("RecordVal", "SetVal", "TableVal", "VectorVal"),
+})

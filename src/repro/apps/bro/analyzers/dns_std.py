@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from ....core.values import Interval
+from ....core.values import Addr, Interval
 from ..val import VectorVal
 
 __all__ = ["DnsStdAnalyzer"]
@@ -141,8 +141,6 @@ class DnsStdAnalyzer:
         if rtype == 1 and len(rdata) == 4:
             return ".".join(str(b) for b in rdata)
         if rtype == 28 and len(rdata) == 16:
-            from ....core.values import Addr
-
             return str(Addr(rdata))
         if rtype in (2, 5, 12):
             name, __ = _read_name(message, offset)

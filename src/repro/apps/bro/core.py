@@ -17,7 +17,7 @@ import time as _time
 from collections import deque
 from typing import Dict, List, Optional
 
-from ...core.values import Time
+from ...core.values import Interval, Time
 from ...runtime.exceptions import HiltiError
 from ...runtime.faults import (
     NULL_INJECTOR,
@@ -111,8 +111,6 @@ class BroCore:
 
     def schedule_event(self, delay, name: str, args: List) -> None:
         """Queue *name(args)* once network time passes now + delay."""
-        from ...core.values import Interval
-
         if not isinstance(delay, Interval):
             delay = Interval(float(delay))
         due = self._now + delay

@@ -34,10 +34,8 @@ from ...runtime.telemetry import (
     Telemetry,
     cpu_breakdown_report,
 )
-from .compiler import ScriptCompiler
 from .conn import ConnectionTracker
 from .core import BroCore, WEIRD_LOG_COLUMNS
-from .interp import ScriptInterp
 from .lang import Script, parse_script
 from .scripts import (
     CONN_LOG_COLUMNS,
@@ -130,11 +128,17 @@ class Bro(HostApp):
         self.script_ast = merged
 
         self.glue = None
+        # Each engine's modules load at its branch: an interpreted run
+        # never imports the HILTI compiler stack (docs/ARCHITECTURE.md).
         if scripts_engine == "interp":
+            from .interp import ScriptInterp
+
             self.engine = ScriptInterp(
                 merged, self.core, print_stream=self.core.print_stream
             )
         else:
+            from .compiler import ScriptCompiler
+
             compiler = ScriptCompiler(merged, self.core,
                                       opt_level=opt_level,
                                       profile=self.telemetry.enabled)

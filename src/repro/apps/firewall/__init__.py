@@ -1,5 +1,10 @@
 """Stateful firewall exemplar: rule compiler plus reference implementation."""
 
-from .compiler import HiltiFirewall, compile_firewall, generate_hilti_source  # noqa: F401
-from .reference import ReferenceFirewall  # noqa: F401
-from .rules import Rule, RuleError, RuleSet  # noqa: F401
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".compiler": ("HiltiFirewall", "compile_firewall",
+                  "generate_hilti_source"),
+    ".reference": ("ReferenceFirewall",),
+    ".rules": ("Rule", "RuleError", "RuleSet"),
+})

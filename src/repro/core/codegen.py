@@ -166,7 +166,7 @@ class CompiledProgram:
         # non-standard capabilities", §7): e.g. {"classifier": "trie"}.
         self.runtime_options: Dict[str, str] = {}
         # Optimization level the program was lowered at (one of
-        # optimize.OPT_LEVELS; -O2 differs from -O1 only in the IR the
+        # repro.core.OPT_LEVELS; -O2 differs from -O1 only in the IR the
         # toolchain hands this lowering — the codegen specializations
         # below apply identically at every level >= 1).
         self.opt_level = 1

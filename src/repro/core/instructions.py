@@ -496,6 +496,25 @@ _register("iterator.distance", "req", ("iter", "iter"),
           fn=lambda ctx, a, b: a.distance(b))
 
 
+# Generic container iteration, emitted by every desugared `for` loop (the
+# HILTI parser's and the Bro script compiler's alike).
+def _container_iter(ctx, container):
+    return iter(list(container))
+
+
+def _container_next(ctx, iterator):
+    try:
+        return (True, next(iterator))
+    except StopIteration:
+        return (False, None)
+
+
+_register("container.iter", "req", ("val",), fn=_container_iter,
+          doc="Generic Python-level iterator over any container.")
+_register("container.next", "req", ("val",), fn=_container_next,
+          doc="(has_more, value) pair from a generic iterator.")
+
+
 # --------------------------------------------------------------------------
 # Domain types: addr / net / port / time / interval
 # --------------------------------------------------------------------------

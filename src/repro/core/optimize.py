@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from . import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from . import types as ht
 from .cfg import reachable_blocks, successors
 from .instructions import REGISTRY
@@ -75,13 +76,6 @@ __all__ = [
     "optimize_module", "optimize_function", "OptStats",
     "OPT_LEVELS", "DEFAULT_OPT_LEVEL",
 ]
-
-#: Every optimization level the toolchain accepts; the CLIs derive their
-#: ``-O`` flags/choices from this so a new tier lands everywhere at once.
-OPT_LEVELS = (0, 1, 2)
-
-#: The level used when no ``-O`` flag is given.
-DEFAULT_OPT_LEVEL = 1
 
 # Mnemonic prefixes whose instructions are pure (no side effects, result
 # depends only on operand values).

@@ -860,29 +860,6 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-# The desugared for-loop uses two internal instructions for generic
-# container iteration; register them here to keep the core registry clean
-# of parser-only helpers.
-def _container_iter(ctx, container):
-    return iter(list(container))
-
-
-def _container_next(ctx, iterator):
-    try:
-        return (True, next(iterator))
-    except StopIteration:
-        return (False, None)
-
-
-from .instructions import _register  # noqa: E402  (registry helper)
-
-if "container.iter" not in REGISTRY:
-    _register("container.iter", "req", ("val",), fn=_container_iter,
-              doc="Generic Python-level iterator over any container.")
-    _register("container.next", "req", ("val",), fn=_container_next,
-              doc="(has_more, value) pair from a generic iterator.")
-
-
 def _expose_literal_parser() -> None:
     """Attach literal parsing to _Parser (used by globals and defaults)."""
 

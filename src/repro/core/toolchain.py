@@ -14,11 +14,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .codegen import CompiledProgram, compile_program
 from .instrument import instrument_module
-from .interp import Interpreter
 from .ir import Module
 from .linker import link
 from .optimize import DEFAULT_OPT_LEVEL, OptStats, optimize_module
-from .parser import parse_module
 from .typecheck import check_module
 
 __all__ = ["hiltic", "hilti_build", "run_source", "HiltiExecutable"]
@@ -32,6 +30,10 @@ def _to_modules(sources: Sequence[Source]) -> List[Module]:
         if isinstance(source, Module):
             modules.append(source)
         else:
+            # The textual front end loads only when text arrives: the
+            # host apps hand over builder-made modules.
+            from .parser import parse_module
+
             modules.append(parse_module(source, filename=f"<source-{index}>"))
     return modules
 
@@ -53,7 +55,7 @@ def hiltic(
     instrumentation (paper, section 3.3); per-function reports appear in
     each context's ``profilers`` registry under ``func/<name>``.
 
-    *opt_level* is the ``-O`` knob (see ``optimize.OPT_LEVELS``): ``0``
+    *opt_level* is the ``-O`` knob (see ``repro.core.OPT_LEVELS``): ``0``
     lowers the IR verbatim, ``1`` (the default) runs the
     ``repro.core.optimize`` pass pipeline between typecheck and lowering
     and optimizes call/hook dispatch in codegen, ``2`` adds the
@@ -82,6 +84,8 @@ def hiltic(
         program.profile_stops = profile_stops
         return program
     if tier == "interpreted":
+        from .interp import Interpreter
+
         interpreter = Interpreter(linked)
         interpreter.opt_stats = stats
         interpreter.profile_stops = profile_stops

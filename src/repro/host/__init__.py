@@ -18,41 +18,18 @@ Layering (docs/ARCHITECTURE.md)::
     net        repro.net.{pcap,packet,flows,reassembly,tracegen}
 """
 
-from .app import HostApp, PipelineServices, export_health
-from .demux import FlowDemux
-from .eviction import SessionLRU
-from .flowtable import FlowEntry, FlowTable
-from .parallel import (
-    LaneSpec,
-    ParallelPipeline,
-    default_backend,
-    dispatch_plan,
-)
-from .pipeline import Pipeline
-from .pool import PoolError, WorkerPool
-from .ring import MessageChannel, RingFull, ShmRing
-from .service import BoundedQueue, HostService, RollingWindows, ServiceConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BoundedQueue",
-    "FlowDemux",
-    "FlowEntry",
-    "FlowTable",
-    "HostApp",
-    "HostService",
-    "LaneSpec",
-    "MessageChannel",
-    "ParallelPipeline",
-    "Pipeline",
-    "PipelineServices",
-    "PoolError",
-    "RingFull",
-    "RollingWindows",
-    "ServiceConfig",
-    "SessionLRU",
-    "ShmRing",
-    "WorkerPool",
-    "default_backend",
-    "dispatch_plan",
-    "export_health",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".app": ("HostApp", "PipelineServices", "export_health"),
+    ".demux": ("FlowDemux",),
+    ".eviction": ("SessionLRU",),
+    ".flowtable": ("FlowEntry", "FlowTable"),
+    ".parallel": ("LaneSpec", "ParallelPipeline", "default_backend",
+                  "dispatch_plan"),
+    ".pipeline": ("Pipeline",),
+    ".pool": ("PoolError", "WorkerPool"),
+    ".ring": ("MessageChannel", "RingFull", "ShmRing"),
+    ".service": ("BoundedQueue", "HostService", "RollingWindows",
+                 "ServiceConfig"),
+})

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 from ..runtime.faults import FaultInjector, registered_sites
 from ..runtime.telemetry import Telemetry
 from .app import HostApp, PipelineServices
-from .parallel import LaneSpec, ParallelPipeline, default_backend
+from .parallel import LaneSpec
 from .pipeline import Pipeline
 
 __all__ = [
@@ -301,6 +301,8 @@ def run_host_app(
                 f"{prog}: session bounds (--max-sessions/--session-ttl/"
                 "--memory-budget) are sequential-only (a global LRU "
                 "diverges across lanes)")
+        from .parallel import ParallelPipeline, default_backend
+
         pipe = ParallelPipeline(
             make_spec(args),
             workers=args.workers,

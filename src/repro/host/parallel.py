@@ -31,7 +31,6 @@ pipeline.  See ``docs/PARALLELISM.md``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os as _os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -39,8 +38,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..core.values import Time
 from ..net.flows import FlowKey, frame_flow_key, placement
 from ..runtime.telemetry import Telemetry
-from ..runtime.threads import Scheduler
-from .worker import process_worker as _process_worker  # noqa: F401 (re-export)
 
 __all__ = [
     "LaneSpec",
@@ -263,7 +260,9 @@ class _LaneProgram:
 # is import-side-effect-free — the property that makes the ``spawn``
 # start method safe (the child imports the entry's module before the
 # target runs; importing *this* module would drag the whole substrate
-# in).  ``_process_worker`` above is re-exported for compatibility.
+# in).  Like ``multiprocessing``, the scheduler, the pool and the ring,
+# it is imported inside the backend that uses it, so a spec-only
+# import of this module (``LaneSpec`` subclasses) stays light.
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +318,8 @@ class ParallelPipeline:
         self.start_method = start_method
         self.join_timeout = join_timeout
         self.stats: Dict[str, object] = {}
-        self.scheduler: Optional[Scheduler] = None
+        #: The vthread backends' ``Scheduler`` once a run finished.
+        self.scheduler = None
         #: Packets handed to workers that died before retiring them
         #: (conservation diagnostic populated when a run fails).
         self.jobs_lost = 0
@@ -403,6 +403,8 @@ class ParallelPipeline:
 
     def _run_scheduler(self, jobs, uid_map, threaded: bool) -> None:
         """In-process backends: packet jobs on the vthread scheduler."""
+        from ..runtime.threads import Scheduler
+
         program = _LaneProgram(self.spec, uid_map)
         scheduler = Scheduler(program, workers=self.workers)
         # Lane 0 always exists: it owns stray frames and guarantees any
@@ -434,6 +436,8 @@ class ParallelPipeline:
         return shards
 
     def _resolve_context(self):
+        import multiprocessing
+
         method = self.start_method
         if method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -466,6 +470,8 @@ class ParallelPipeline:
         as lost — the run fails with the conservation diagnostic
         instead of hanging forever on a pipe no one will ever write.
         """
+        from .worker import process_worker
+
         if shard_paths is None:
             shards = self._shard_jobs(jobs)
         else:
@@ -481,7 +487,7 @@ class ParallelPipeline:
         for index in range(self.workers):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
-                target=_process_worker,
+                target=process_worker,
                 args=(child_conn, self.spec, shards[index], uid_map),
             )
             proc.start()

@@ -18,6 +18,8 @@ application's own modules and call them cross-module, exactly how the
 paper's "lingua franca for expressing their internals" is meant to work.
 """
 
-from .session_table import SESSION_TABLE, SessionTable  # noqa: F401
+from .._lazy import lazy_exports
 
-__all__ = ["SESSION_TABLE", "SessionTable"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".session_table": ("SESSION_TABLE", "SessionTable"),
+})

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.values import Interval, Time
 from ..host.flowtable import FlowTable
 
 SESSION_TABLE = """module SessionTable
@@ -117,7 +118,6 @@ class SessionTable:
                  access_refreshes: bool = True,
                  max_entries: Optional[int] = None):
         from ..core.toolchain import hiltic
-        from ..core.values import Interval
 
         # Occupancy/eviction accounting for the telemetry exporter
         # (docs/OBSERVABILITY.md): evictions counted by wrapping the
@@ -248,8 +248,6 @@ void advance(time now) {
         return self.program.call(self.ctx, "Driver::size")
 
     def advance(self, now) -> None:
-        from ..core.values import Time
-
         if not isinstance(now, Time):
             now = Time(float(now))
         self.program.call(self.ctx, "Driver::advance", [now])

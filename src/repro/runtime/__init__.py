@@ -1,39 +1,26 @@
 """The HILTI runtime library: data types and execution services."""
 
-from .bytes_buffer import Bytes, BytesIter  # noqa: F401
-from .channels import Channel, deep_copy_value  # noqa: F401
-from .classifier import (  # noqa: F401
-    Classifier,
-    LinearClassifier,
-    TrieClassifier,
-    make_classifier,
-)
-from .containers import (  # noqa: F401
-    EXPIRE_ACCESS,
-    EXPIRE_CREATE,
-    HiltiList,
-    HiltiMap,
-    HiltiSet,
-    HiltiVector,
-)
-from .context import ExecutionContext  # noqa: F401
-from .exceptions import HiltiError, builtin_exception_types  # noqa: F401
-from .fibers import Fiber, FiberStats, YIELDED  # noqa: F401
-from .files import FileManager, HiltiFile  # noqa: F401
-from .iosrc import IOSource  # noqa: F401
-from .memory import AllocationStats  # noqa: F401
-from .overlay import OverlayInstance, unpack_value  # noqa: F401
-from .profiler import Profiler, ProfilerRegistry  # noqa: F401
-from .regexp import MATCH_FAIL, MATCH_NEED_MORE, MatchState, RegExp  # noqa: F401
-from .structs import Callable, StructInstance  # noqa: F401
-from .telemetry import (  # noqa: F401
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Span,
-    Telemetry,
-    Tracer,
-)
-from .threads import Job, Scheduler  # noqa: F401
-from .timers import Timer, TimerMgr  # noqa: F401
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bytes_buffer": ("Bytes", "BytesIter"),
+    ".channels": ("Channel", "deep_copy_value"),
+    ".classifier": ("Classifier", "LinearClassifier", "TrieClassifier",
+                    "make_classifier"),
+    ".containers": ("EXPIRE_ACCESS", "EXPIRE_CREATE", "HiltiList",
+                    "HiltiMap", "HiltiSet", "HiltiVector"),
+    ".context": ("ExecutionContext",),
+    ".exceptions": ("HiltiError", "builtin_exception_types"),
+    ".fibers": ("Fiber", "FiberStats", "YIELDED"),
+    ".files": ("FileManager", "HiltiFile"),
+    ".iosrc": ("IOSource",),
+    ".memory": ("AllocationStats",),
+    ".overlay": ("OverlayInstance", "unpack_value"),
+    ".profiler": ("Profiler", "ProfilerRegistry"),
+    ".regexp": ("MATCH_FAIL", "MATCH_NEED_MORE", "MatchState", "RegExp"),
+    ".structs": ("Callable", "StructInstance"),
+    ".telemetry": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                   "Span", "Telemetry", "Tracer"),
+    ".threads": ("Job", "Scheduler"),
+    ".timers": ("Timer", "TimerMgr"),
+})

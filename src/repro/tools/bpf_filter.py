@@ -19,7 +19,7 @@ import sys
 from typing import Dict, List, Optional
 
 from ..apps.bpf.app import ENGINES, BpfApp, BpfLaneSpec
-from ..core.optimize import OPT_LEVELS
+from ..core import OPT_LEVELS
 from ..host.cli import add_pipeline_args, add_service_args, run_host_app
 
 

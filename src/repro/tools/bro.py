@@ -32,9 +32,8 @@ import os
 import sys
 
 from ..apps.bro.main import Bro
-from ..apps.bro.parallel import BroLaneSpec, ParallelBro
 from ..apps.bro.scripts import TRACK_SCRIPT
-from ..core.optimize import OPT_LEVELS
+from ..core import OPT_LEVELS
 from ..net.flowrecord import write_flowrecords_jsonl
 from ..host.cli import (
     EXIT_INTERRUPTED,
@@ -51,7 +50,7 @@ from ..runtime.telemetry import Telemetry
 _BUNDLED = {"track.bro": TRACK_SCRIPT}
 
 
-def _make_spec(ns, scripts) -> BroLaneSpec:
+def _make_spec(ns, scripts):
     """The pool-transport lane spec for ``--serve``.
 
     Full lane-constructor config: pool-transport lanes build Bro
@@ -59,6 +58,8 @@ def _make_spec(ns, scripts) -> BroLaneSpec:
     spec travels (thread lanes use make_app) — so every compilation
     knob, including ``-O``, must ride in the spec.
     """
+    from ..apps.bro.parallel import BroLaneSpec
+
     return BroLaneSpec({
         "scripts": scripts,
         "parsers": ns.parsers,
@@ -202,6 +203,8 @@ def main(argv=None) -> int:
             raise SystemExit(
                 "bro: session bounds (--max-sessions/--session-ttl) are "
                 "sequential-only (a global LRU diverges across lanes)")
+        from ..apps.bro.parallel import ParallelBro
+
         bro = ParallelBro(
             scripts=scripts,
             parsers=args.parsers,

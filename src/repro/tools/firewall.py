@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from ..apps.firewall.app import ENGINES, FirewallApp, FirewallLaneSpec
 from ..apps.firewall.rules import RuleSet
-from ..core.optimize import OPT_LEVELS
+from ..core import OPT_LEVELS
 from ..host.cli import add_pipeline_args, add_service_args, run_host_app
 
 

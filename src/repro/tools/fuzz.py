@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import types as ht
 from ..core.builder import FunctionBuilder, ModuleBuilder
-from ..core.optimize import OPT_LEVELS
+from ..core import OPT_LEVELS
 from ..core.parser import parse_module
 from ..core.printer import print_module
 from ..core.toolchain import hiltic

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..core.optimize import DEFAULT_OPT_LEVEL, OPT_LEVELS
+from ..core import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from ..core.toolchain import hiltic
 
 _LEVEL_HELP = {
